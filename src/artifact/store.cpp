@@ -1,9 +1,8 @@
 #include "artifact/store.hpp"
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/obs.hpp"
@@ -16,6 +15,8 @@ constexpr std::size_t kMagicBytes = 8;
 constexpr std::size_t kHeaderBytes = kMagicBytes + 4 + 4;
 constexpr std::size_t kTrailerBytes = 8 + 8 + 4 + kMagicBytes;
 constexpr std::size_t kBlockAlign = 8;
+/// Smallest index entry: empty name + offset + size + crc.
+constexpr std::size_t kMinIndexEntryBytes = 4 + 8 + 8 + 4;
 
 std::size_t align_up(std::size_t n) {
   return (n + kBlockAlign - 1) / kBlockAlign * kBlockAlign;
@@ -23,88 +24,44 @@ std::size_t align_up(std::size_t n) {
 
 }  // namespace
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint8_t get_u8(std::string_view in, std::size_t& pos, const char* what) {
-  CLEAR_CHECK_MSG(pos + 1 <= in.size(),
-                  what << " truncated at offset " << pos);
-  return static_cast<std::uint8_t>(in[pos++]);
-}
-
-std::uint32_t get_u32(std::string_view in, std::size_t& pos,
-                      const char* what) {
-  CLEAR_CHECK_MSG(pos + 4 <= in.size(),
-                  what << " truncated at offset " << pos);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= std::uint32_t(static_cast<std::uint8_t>(in[pos + i])) << (8 * i);
-  pos += 4;
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view in, std::size_t& pos,
-                      const char* what) {
-  CLEAR_CHECK_MSG(pos + 8 <= in.size(),
-                  what << " truncated at offset " << pos);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= std::uint64_t(static_cast<std::uint8_t>(in[pos + i])) << (8 * i);
-  pos += 8;
-  return v;
-}
-
 void Writer::add_block(std::string_view name, std::string_view bytes) {
   CLEAR_CHECK_MSG(!name.empty(), "artifact block needs a name");
   blocks_.push_back({std::string(name), std::string(bytes)});
 }
 
 std::string Writer::finish() const {
-  std::string out;
-  out.append(kArtifactMagic, kMagicBytes);
-  put_u32(out, kArtifactVersion);
-  put_u32(out, static_cast<std::uint32_t>(blocks_.size()));
+  bytes::Writer w;
+  w.raw({kArtifactMagic, kMagicBytes});
+  w.u32(kArtifactVersion);
+  w.u32(static_cast<std::uint32_t>(blocks_.size()));
 
   std::vector<BlockInfo> index;
   index.reserve(blocks_.size());
   for (const Staged& b : blocks_) {
-    out.resize(align_up(out.size()), '\0');
+    w.zeros(align_up(w.size()) - w.size());
     BlockInfo info;
     info.name = b.name;
-    info.offset = out.size();
+    info.offset = w.size();
     info.size = b.bytes.size();
     info.crc = crc32(b.bytes);
-    out.append(b.bytes);
+    w.raw(b.bytes);
     index.push_back(std::move(info));
   }
 
-  const std::uint64_t index_offset = out.size();
+  const std::uint64_t index_offset = w.size();
   for (const BlockInfo& info : index) {
-    put_u32(out, static_cast<std::uint32_t>(info.name.size()));
-    out.append(info.name);
-    put_u64(out, info.offset);
-    put_u64(out, info.size);
-    put_u32(out, info.crc);
+    w.u32(static_cast<std::uint32_t>(info.name.size()));
+    w.raw(info.name);
+    w.u64(info.offset);
+    w.u64(info.size);
+    w.u32(info.crc);
   }
-  const std::uint64_t index_size = out.size() - index_offset;
-  const std::uint32_t index_crc =
-      crc32(out.data() + index_offset, static_cast<std::size_t>(index_size));
-  put_u64(out, index_offset);
-  put_u64(out, index_size);
-  put_u32(out, index_crc);
-  out.append(kArtifactMagic, kMagicBytes);
-  return out;
+  const std::uint64_t index_size = w.size() - index_offset;
+  w.u64(index_offset);
+  w.u64(index_size);
+  w.u32(crc32(w.data() + index_offset, static_cast<std::size_t>(index_size)));
+  w.raw({kArtifactMagic, kMagicBytes});
+  return w.take();
 }
 
 bool Reader::is_artifact(std::string_view bytes) {
@@ -118,12 +75,12 @@ Reader::Reader(std::string_view container) : data_(container) {
                                          << " bytes is smaller than the "
                                             "fixed header + trailer");
   CLEAR_CHECK_MSG(is_artifact(data_), "bad artifact magic");
-  std::size_t pos = kMagicBytes;
-  const std::uint32_t version = get_u32(data_, pos, "artifact header");
+  bytes::Reader header(data_.substr(kMagicBytes), "artifact header");
+  const std::uint32_t version = header.u32();
   CLEAR_CHECK_MSG(version == kArtifactVersion,
                   "unsupported artifact version " << version << " (reader is v"
                                                   << kArtifactVersion << ")");
-  const std::uint32_t block_count = get_u32(data_, pos, "artifact header");
+  const std::uint32_t block_count = header.u32();
 
   // Trailer: fixed size at EOF, tail magic proves the file was not cut.
   const std::size_t trailer_at = data_.size() - kTrailerBytes;
@@ -131,50 +88,41 @@ Reader::Reader(std::string_view container) : data_(container) {
                               kArtifactMagic, kMagicBytes) == 0,
                   "artifact truncated: tail magic missing at offset "
                       << (trailer_at + 8 + 8 + 4));
-  std::size_t tpos = trailer_at;
-  const std::uint64_t index_offset = get_u64(data_, tpos, "artifact trailer");
-  const std::uint64_t index_size = get_u64(data_, tpos, "artifact trailer");
-  const std::uint32_t index_crc = get_u32(data_, tpos, "artifact trailer");
-  CLEAR_CHECK_MSG(index_offset >= kHeaderBytes &&
-                      index_offset + index_size <= trailer_at,
+  bytes::Reader trailer(data_.substr(trailer_at), "artifact trailer");
+  const std::uint64_t index_offset = trailer.u64();
+  const std::uint64_t index_size = trailer.u64();
+  const std::uint32_t index_crc = trailer.u32();
+  CLEAR_CHECK_MSG(index_offset >= kHeaderBytes && index_offset <= trailer_at &&
+                      index_size <= trailer_at - index_offset,
                   "artifact index out of bounds: offset "
                       << index_offset << " size " << index_size
                       << " in a container of " << data_.size() << " bytes");
+  const std::string_view index_bytes =
+      data_.substr(static_cast<std::size_t>(index_offset),
+                   static_cast<std::size_t>(index_size));
   const std::uint32_t computed =
-      crc32(data_.data() + index_offset,
-            static_cast<std::size_t>(index_size));
+      crc32(index_bytes.data(), index_bytes.size());
   CLEAR_CHECK_MSG(computed == index_crc,
                   "artifact index CRC mismatch at offset "
                       << index_offset << ": stored " << index_crc
                       << ", computed " << computed);
 
-  const std::string_view index_bytes =
-      data_.substr(static_cast<std::size_t>(index_offset),
-                   static_cast<std::size_t>(index_size));
-  std::size_t ipos = 0;
-  index_.reserve(block_count);
-  for (std::uint32_t i = 0; i < block_count; ++i) {
-    BlockInfo info;
-    const std::uint32_t name_len = get_u32(index_bytes, ipos,
-                                           "artifact index");
-    CLEAR_CHECK_MSG(ipos + name_len <= index_bytes.size(),
-                    "artifact index truncated in block " << i << "'s name");
-    info.name = std::string(index_bytes.substr(ipos, name_len));
-    ipos += name_len;
-    info.offset = get_u64(index_bytes, ipos, "artifact index");
-    info.size = get_u64(index_bytes, ipos, "artifact index");
-    info.crc = get_u32(index_bytes, ipos, "artifact index");
+  bytes::Reader index(index_bytes, "artifact index");
+  index_.resize(index.count(block_count, kMinIndexEntryBytes));
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    BlockInfo& info = index_[i];
+    info.name = std::string(index.bytes(index.u32()));
+    info.offset = index.u64();
+    info.size = index.u64();
+    info.crc = index.u32();
     CLEAR_CHECK_MSG(
-        info.offset >= kHeaderBytes &&
-            info.offset + info.size <= index_offset,
+        info.offset >= kHeaderBytes && info.offset <= index_offset &&
+            info.size <= index_offset - info.offset,
         "artifact block " << i << " ('" << info.name << "') out of bounds: "
                           << "offset " << info.offset << " size " << info.size
                           << " overruns the index at " << index_offset);
-    index_.push_back(std::move(info));
   }
-  CLEAR_CHECK_MSG(ipos == index_bytes.size(),
-                  "artifact index has " << (index_bytes.size() - ipos)
-                                        << " trailing bytes");
+  index.expect_end();
   if (obs::enabled()) obs::counter("artifact.opened").add(1);
 }
 
@@ -213,30 +161,6 @@ std::string_view Reader::block(std::string_view name) const {
     if (index_[i].name == name) return block(i);
   CLEAR_CHECK_MSG(false, "artifact has no block named '" << name << "'");
   return {};
-}
-
-void write_artifact_file(const std::string& path, const std::string& bytes) {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot open artifact for writing: " << tmp);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    CLEAR_CHECK_MSG(os.good(), "IO error writing artifact: " << tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec,
-                  "cannot commit artifact " << path << ": " << ec.message());
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CLEAR_CHECK_MSG(is.good(), "cannot open artifact: " << path);
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-  CLEAR_CHECK_MSG(!is.bad(), "IO error reading artifact: " << path);
-  return bytes;
 }
 
 }  // namespace clear::artifact

@@ -33,18 +33,6 @@ namespace clear::artifact {
 inline constexpr char kArtifactMagic[9] = "CLRART01";  // 8 bytes on disk.
 inline constexpr std::uint32_t kArtifactVersion = 1;
 
-// -- Little-endian buffer primitives (shared by the delta codec) -------------
-
-void put_u8(std::string& out, std::uint8_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-
-/// Bounds-checked reads; `pos` advances past the value. Throw clear::Error
-/// ("<what> truncated at offset N") on short input.
-std::uint8_t get_u8(std::string_view in, std::size_t& pos, const char* what);
-std::uint32_t get_u32(std::string_view in, std::size_t& pos, const char* what);
-std::uint64_t get_u64(std::string_view in, std::size_t& pos, const char* what);
-
 // -- Writer ------------------------------------------------------------------
 
 /// Accumulates named blocks and serializes the container. Block order is
@@ -102,13 +90,5 @@ class Reader {
   std::string_view data_;
   std::vector<BlockInfo> index_;
 };
-
-// -- Files -------------------------------------------------------------------
-
-/// Atomic write (temp + rename), like every other on-disk artifact.
-void write_artifact_file(const std::string& path, const std::string& bytes);
-
-/// Whole file as bytes; throws clear::Error when unreadable.
-std::string read_file_bytes(const std::string& path);
 
 }  // namespace clear::artifact

@@ -1,14 +1,11 @@
 #include "clear/artifacts.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
-#include "tensor/serialize.hpp"
 
 namespace clear::core {
 
@@ -17,194 +14,139 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint64_t kMetaMagic = 0x434C4541524D4554ull;  // "CLEARMET"
-// v1: raw field stream after the version word (no integrity check).
-// v2: u64 payload length + payload + u64 CRC-32 of the payload. Same field
-//     layout inside the payload, so the parser is shared.
+// The payload sits in the common/bytes sealed envelope (length + CRC-32).
 constexpr std::uint64_t kMetaVersion = 2;
 
-void write_point(std::ostream& os, const cluster::Point& p) {
-  io::write_u64(os, p.size());
-  for (const double v : p) io::write_f64(os, v);
+void put_point(bytes::Writer& w, const cluster::Point& p) {
+  w.u64(p.size());
+  for (const double v : p) w.f64(v);
 }
 
-cluster::Point read_point(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 20), "implausible point dimension");
-  cluster::Point p(n);
-  for (double& v : p) v = io::read_f64(is);
+cluster::Point get_point(bytes::Reader& r) {
+  cluster::Point p(r.count(r.u64(), sizeof(double)));
+  for (double& v : p) v = r.f64();
   return p;
 }
 
-void write_index_vector(std::ostream& os, const std::vector<std::size_t>& v) {
-  io::write_u64(os, v.size());
-  for (const std::size_t x : v) io::write_u64(os, x);
+void put_index_vector(bytes::Writer& w, const std::vector<std::size_t>& v) {
+  w.u64(v.size());
+  for (const std::size_t x : v) w.u64(x);
 }
 
-std::vector<std::size_t> read_index_vector(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 24), "implausible index vector length");
-  std::vector<std::size_t> v(n);
-  for (std::size_t& x : v) x = io::read_u64(is);
+std::vector<std::size_t> get_index_vector(bytes::Reader& r) {
+  std::vector<std::size_t> v(r.count(r.u64(), sizeof(std::uint64_t)));
+  for (std::size_t& x : v) x = r.u64();
   return v;
 }
 
-void write_model_config(std::ostream& os, const nn::CnnLstmConfig& c) {
-  io::write_u64(os, c.feature_dim);
-  io::write_u64(os, c.window_count);
-  io::write_u64(os, c.conv1_channels);
-  io::write_u64(os, c.conv2_channels);
-  io::write_u64(os, c.lstm_hidden);
-  io::write_u64(os, c.n_classes);
-  io::write_f64(os, c.dropout);
+void put_model_config(bytes::Writer& w, const nn::CnnLstmConfig& c) {
+  w.u64(c.feature_dim);
+  w.u64(c.window_count);
+  w.u64(c.conv1_channels);
+  w.u64(c.conv2_channels);
+  w.u64(c.lstm_hidden);
+  w.u64(c.n_classes);
+  w.f64(c.dropout);
 }
 
-nn::CnnLstmConfig read_model_config(std::istream& is) {
+nn::CnnLstmConfig get_model_config(bytes::Reader& r) {
   nn::CnnLstmConfig c;
-  c.feature_dim = io::read_u64(is);
-  c.window_count = io::read_u64(is);
-  c.conv1_channels = io::read_u64(is);
-  c.conv2_channels = io::read_u64(is);
-  c.lstm_hidden = io::read_u64(is);
-  c.n_classes = io::read_u64(is);
-  c.dropout = io::read_f64(is);
+  c.feature_dim = r.u64();
+  c.window_count = r.u64();
+  c.conv1_channels = r.u64();
+  c.conv2_channels = r.u64();
+  c.lstm_hidden = r.u64();
+  c.n_classes = r.u64();
+  c.dropout = r.f64();
   return c;
 }
 
-void write_meta_payload(std::ostream& os, const ClearConfig& config,
-                        const ClearPipeline::State& state) {
+void put_meta_payload(bytes::Writer& w, const ClearConfig& config,
+                      const ClearPipeline::State& state) {
   // Configuration needed to rebuild models and reproduce assignment.
-  write_model_config(os, config.model);
-  io::write_u64(os, config.gc.k);
-  io::write_u64(os, config.gc.sub_clusters);
-  io::write_f64(os, config.ca_fraction);
-  io::write_f64(os, config.ft_fraction);
-  io::write_u64(os, config.seed);
-  io::write_u64(os, config.finetune.epochs);
-  io::write_f64(os, config.finetune.lr);
-  io::write_u64(os, config.finetune.batch_size);
+  put_model_config(w, config.model);
+  w.u64(config.gc.k);
+  w.u64(config.gc.sub_clusters);
+  w.f64(config.ca_fraction);
+  w.f64(config.ft_fraction);
+  w.u64(config.seed);
+  w.u64(config.finetune.epochs);
+  w.f64(config.finetune.lr);
+  w.u64(config.finetune.batch_size);
   // Fitted users.
-  write_index_vector(os, state.users);
+  put_index_vector(w, state.users);
   // Normalizer moments.
-  write_point(os, state.normalizer.mean());
-  write_point(os, state.normalizer.stddev());
+  put_point(w, state.normalizer.mean());
+  put_point(w, state.normalizer.stddev());
   // Clustering.
-  write_index_vector(os, state.clustering.user_cluster);
-  io::write_u64(os, state.clustering.clusters.size());
+  put_index_vector(w, state.clustering.user_cluster);
+  w.u64(state.clustering.clusters.size());
   for (const cluster::ClusterModel& c : state.clustering.clusters) {
-    write_point(os, c.centroid);
-    io::write_u64(os, c.sub_centroids.size());
-    for (const cluster::Point& sc : c.sub_centroids) write_point(os, sc);
-    write_index_vector(os, c.members);
+    put_point(w, c.centroid);
+    w.u64(c.sub_centroids.size());
+    for (const cluster::Point& sc : c.sub_centroids) put_point(w, sc);
+    put_index_vector(w, c.members);
   }
-  io::write_u64(os, state.clustering.rounds_run);
-  io::write_u64(os, state.clustering.converged ? 1 : 0);
+  w.u64(state.clustering.rounds_run);
+  w.u64(state.clustering.converged ? 1 : 0);
 }
 
-void read_meta_payload(std::istream& is, ClearConfig& config,
-                       ClearPipeline::State& state) {
-  config.model = read_model_config(is);
-  config.gc.k = io::read_u64(is);
-  config.gc.sub_clusters = io::read_u64(is);
-  config.ca_fraction = io::read_f64(is);
-  config.ft_fraction = io::read_f64(is);
-  config.seed = io::read_u64(is);
-  config.finetune.epochs = io::read_u64(is);
-  config.finetune.lr = io::read_f64(is);
-  config.finetune.batch_size = io::read_u64(is);
+void get_meta_payload(bytes::Reader& r, ClearConfig& config,
+                      ClearPipeline::State& state) {
+  config.model = get_model_config(r);
+  config.gc.k = r.u64();
+  config.gc.sub_clusters = r.u64();
+  config.ca_fraction = r.f64();
+  config.ft_fraction = r.f64();
+  config.seed = r.u64();
+  config.finetune.epochs = r.u64();
+  config.finetune.lr = r.f64();
+  config.finetune.batch_size = r.u64();
   // Keep the persisted model geometry (finalize() would overwrite it from
   // the default data config).
   config.data.windows_per_trial = config.model.window_count;
 
-  state.users = read_index_vector(is);
-  cluster::Point mean = read_point(is);
-  cluster::Point stddev = read_point(is);
+  state.users = get_index_vector(r);
+  cluster::Point mean = get_point(r);
+  cluster::Point stddev = get_point(r);
   state.normalizer = features::FeatureNormalizer::from_moments(
       std::move(mean), std::move(stddev));
-  state.clustering.user_cluster = read_index_vector(is);
-  const std::uint64_t n_clusters = io::read_u64(is);
+  state.clustering.user_cluster = get_index_vector(r);
+  const std::uint64_t n_clusters = r.u64();
   CLEAR_CHECK_MSG(n_clusters >= 1 && n_clusters < 256,
                   "implausible cluster count");
   for (std::uint64_t k = 0; k < n_clusters; ++k) {
     cluster::ClusterModel c;
-    c.centroid = read_point(is);
-    const std::uint64_t n_sub = io::read_u64(is);
+    c.centroid = get_point(r);
+    const std::uint64_t n_sub = r.u64();
     CLEAR_CHECK_MSG(n_sub >= 1 && n_sub < 1024,
                     "implausible sub-cluster count");
     for (std::uint64_t i = 0; i < n_sub; ++i)
-      c.sub_centroids.push_back(read_point(is));
-    c.members = read_index_vector(is);
+      c.sub_centroids.push_back(get_point(r));
+    c.members = get_index_vector(r);
     state.clustering.clusters.push_back(std::move(c));
   }
-  state.clustering.rounds_run = io::read_u64(is);
-  state.clustering.converged = io::read_u64(is) != 0;
+  state.clustering.rounds_run = r.u64();
+  state.clustering.converged = r.u64() != 0;
 }
 
-/// Write `bytes` to `path` atomically: temp file first, then rename. The
-/// rename is the commit point; an injected IO failure before it simulates a
-/// crashed writer leaving only the stale `.tmp` behind.
-void atomic_write(const fs::path& path, const std::string& bytes) {
-  const fs::path tmp = path.string() + ".tmp";
-  fault::maybe_fail_io("artifact write");
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot write " << tmp.string());
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    CLEAR_CHECK_MSG(os.good(), "IO error writing " << tmp.string());
-  }
-  fault::maybe_fail_io("artifact rename");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec, "cannot commit " << path.string() << ": "
-                                        << ec.message());
-}
-
-/// Read a whole file, or return "" when it does not exist / cannot open.
-std::string read_file_bytes(const fs::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return {};
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
+/// Write `bytes` to `path` atomically (fault sites "artifact write" /
+/// "artifact rename"): a crashed writer leaves only the stale `.tmp`.
+void atomic_write(const fs::path& path, std::string_view data) {
+  bytes::write_file_atomic(path.string(), data, "artifact");
 }
 
 /// Parse and CRC-verify <dir>/pipeline.meta into (config, state). Shared by
 /// the full pipeline restore and the metadata-only serving load.
 void read_meta_file(const fs::path& dir, ClearConfig& config,
                     ClearPipeline::State& state) {
-  std::ifstream meta(dir / "pipeline.meta", std::ios::binary);
-  CLEAR_CHECK_MSG(meta.good(),
-                  "cannot open " << (dir / "pipeline.meta").string());
-  CLEAR_CHECK_MSG(io::read_u64(meta) == kMetaMagic, "bad pipeline.meta magic");
-  const std::uint64_t version = io::read_u64(meta);
-
-  if (version == 1) {
-    // Legacy format: raw field stream, no CRC. Parse errors are the only
-    // corruption signal available.
-    read_meta_payload(meta, config, state);
-    return;
-  }
-  CLEAR_CHECK_MSG(version == kMetaVersion,
-                  "unsupported pipeline.meta version " << version);
-  const std::uint64_t length = io::read_u64(meta);
-  CLEAR_CHECK_MSG(length < (1ull << 32),
-                  "implausible pipeline.meta payload length " << length);
-  std::string payload(length, '\0');
-  meta.read(payload.data(), static_cast<std::streamsize>(length));
-  const auto got = static_cast<std::uint64_t>(meta.gcount());
-  CLEAR_CHECK_MSG(got == length, "truncated pipeline.meta: payload has "
-                                     << got << " of " << length << " bytes");
-  unsigned char footer[8];
-  meta.read(reinterpret_cast<char*>(footer), 8);
-  CLEAR_CHECK_MSG(meta.gcount() == 8,
-                  "truncated pipeline.meta: missing CRC footer");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) stored |= std::uint64_t(footer[i]) << (8 * i);
-  const std::uint32_t computed = crc32(payload);
-  CLEAR_CHECK_MSG(stored == computed, "pipeline.meta CRC mismatch: stored "
-                                          << stored << ", computed "
-                                          << computed
-                                          << " (corrupted metadata)");
-  std::istringstream payload_is(payload, std::ios::binary);
-  read_meta_payload(payload_is, config, state);
+  const std::string path = (dir / "pipeline.meta").string();
+  const std::string file = bytes::read_file(path);
+  CLEAR_CHECK_MSG(!file.empty(), "cannot open " << path);
+  bytes::Reader r(bytes::open_sealed(file, kMetaMagic, kMetaVersion,
+                                     "pipeline.meta"),
+                  "pipeline.meta payload");
+  get_meta_payload(r, config, state);
 }
 
 }  // namespace
@@ -219,16 +161,11 @@ void save_pipeline(ClearPipeline& pipeline, const std::string& directory) {
   ClearPipeline::State state = pipeline.export_state();
   const ClearConfig& config = pipeline.config();
 
-  std::ostringstream payload_os(std::ios::binary);
-  write_meta_payload(payload_os, config, state);
-  const std::string payload = payload_os.str();
-  std::ostringstream meta_os(std::ios::binary);
-  io::write_u64(meta_os, kMetaMagic);
-  io::write_u64(meta_os, kMetaVersion);
-  io::write_u64(meta_os, payload.size());
-  meta_os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  io::write_u64(meta_os, crc32(payload));
-  atomic_write(dir / "pipeline.meta", meta_os.str());
+  bytes::Writer meta;
+  const std::size_t at = bytes::begin_sealed(meta, kMetaMagic, kMetaVersion);
+  put_meta_payload(meta, config, state);
+  bytes::end_sealed(meta, at);
+  atomic_write(dir / "pipeline.meta", meta.take());
 
   for (std::size_t k = 0; k < state.checkpoints.size(); ++k)
     atomic_write(dir / ("cluster_" + std::to_string(k) + ".ckpt"),
@@ -246,9 +183,9 @@ ClearPipeline load_pipeline(const std::string& directory) {
   // Checkpoint blobs. A missing/unreadable file becomes an empty blob;
   // import_state() degrades it to the general fallback or throws.
   for (std::size_t k = 0; k < state.clustering.clusters.size(); ++k)
-    state.checkpoints.push_back(
-        read_file_bytes(dir / ("cluster_" + std::to_string(k) + ".ckpt")));
-  state.general_checkpoint = read_file_bytes(dir / "general.ckpt");
+    state.checkpoints.push_back(bytes::read_file(
+        (dir / ("cluster_" + std::to_string(k) + ".ckpt")).string()));
+  state.general_checkpoint = bytes::read_file((dir / "general.ckpt").string());
 
   ClearPipeline pipeline(config);
   pipeline.import_state(std::move(state));
@@ -274,13 +211,14 @@ ArtifactMeta load_artifact_meta(const std::string& directory) {
 std::string read_cluster_checkpoint(const std::string& directory,
                                     std::size_t k) {
   fault::maybe_fail_io("checkpoint read");
-  return read_file_bytes(fs::path(directory) /
-                         ("cluster_" + std::to_string(k) + ".ckpt"));
+  return bytes::read_file(
+      (fs::path(directory) / ("cluster_" + std::to_string(k) + ".ckpt"))
+          .string());
 }
 
 std::string read_general_checkpoint(const std::string& directory) {
   fault::maybe_fail_io("checkpoint read");
-  return read_file_bytes(fs::path(directory) / "general.ckpt");
+  return bytes::read_file((fs::path(directory) / "general.ckpt").string());
 }
 
 }  // namespace clear::core

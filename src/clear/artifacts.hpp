@@ -14,8 +14,7 @@
 // with a CRC-specific error; corruption or loss of a cluster checkpoint
 // degrades that cluster to the general fallback model when general.ckpt is
 // present (reported by ClearPipeline::fallback_clusters()) and fails
-// otherwise. Wrong weights are never loaded silently. Legacy v1 artifacts
-// (no CRC, no general.ckpt) still load.
+// otherwise. Wrong weights are never loaded silently.
 #pragma once
 
 #include <string>

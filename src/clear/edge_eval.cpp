@@ -1,7 +1,6 @@
 #include "clear/edge_eval.hpp"
 
 #include <mutex>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -14,8 +13,7 @@ std::unique_ptr<nn::Sequential> model_from_checkpoint_bytes(
     const nn::CnnLstmConfig& config, const std::string& bytes) {
   Rng rng(1);  // Weights come from the checkpoint.
   auto model = nn::build_cnn_lstm(config, rng);
-  std::istringstream is(bytes, std::ios::binary);
-  nn::load_checkpoint(is, *model);
+  nn::load_checkpoint(bytes, *model);
   return model;
 }
 

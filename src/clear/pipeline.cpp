@@ -1,7 +1,5 @@
 #include "clear/pipeline.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/obs.hpp"
@@ -193,24 +191,19 @@ nn::TrainHistory ClearPipeline::fine_tune_on(
 }
 
 std::string ClearPipeline::serialize_cluster_model(std::size_t k) {
-  std::ostringstream os(std::ios::binary);
-  nn::save_checkpoint(os, cluster_model(k));
-  return os.str();
+  return nn::encode_checkpoint(cluster_model(k));
 }
 
 std::string ClearPipeline::serialize_general_model() {
   if (!has_general_model()) return {};
-  std::ostringstream os(std::ios::binary);
-  nn::save_checkpoint(os, *general_model_);
-  return os.str();
+  return nn::encode_checkpoint(*general_model_);
 }
 
 std::unique_ptr<nn::Sequential> ClearPipeline::model_from_bytes(
     const std::string& bytes) const {
   Rng rng(1);  // Weights are overwritten by the checkpoint.
   auto model = nn::build_cnn_lstm(config_.model, rng);
-  std::istringstream is(bytes, std::ios::binary);
-  nn::load_checkpoint(is, *model);
+  nn::load_checkpoint(bytes, *model);
   return model;
 }
 

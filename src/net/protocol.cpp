@@ -1,138 +1,66 @@
 #include "net/protocol.hpp"
 
-#include <cstring>
 #include <sstream>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace clear::net {
 
 namespace {
 
-// Little-endian scalar writers. Floats move as bit patterns so encode ∘
-// decode is the identity on every value, NaN payloads included.
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+/// Start a frame in `w`: the 8-byte prefix (magic, version, type,
+/// reserved), then the `[u32 len][u32 crc][payload]` record the payload
+/// is written into. Returns the payload's offset for end_frame.
+std::size_t begin_frame(bytes::Writer& w, FrameType type) {
+  w.u32(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u16(0);  // reserved
+  return bytes::begin_record(w);
 }
 
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+std::string end_frame(bytes::Writer& w, std::size_t payload_at) {
+  const std::size_t len = w.size() - payload_at;
+  CLEAR_CHECK_MSG(len <= kMaxPayload, "frame payload too large: " << len);
+  bytes::end_record(w, payload_at);
+  return w.take();
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Frame with a payload written by `body`.
+template <typename Body>
+std::string frame(FrameType type, std::size_t payload_hint, Body body) {
+  bytes::Writer w(kHeaderSize + payload_hint);
+  const std::size_t at = begin_frame(w, type);
+  body(w);
+  return end_frame(w, at);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Run a typed parser over a frame's payload. Parsers read through a
+/// bounds-checked bytes::Reader, whose addressed errors ("payload
+/// truncated: need 4 byte(s) at offset 40, have 2", "payload has 3 trailing
+/// byte(s) after offset 44") become the parse error; semantic checks fail
+/// with their own message. Never throws.
+template <typename Parse>
+bool parse_payload(const Frame& frame, FrameType type, const char* name,
+                   std::string& error, Parse parse) {
+  if (frame.type != type) {
+    error = std::string("not ") + name + " frame";
+    return false;
+  }
+  try {
+    bytes::Reader r(frame.payload);
+    parse(r);
+    r.expect_end();
+    return true;
+  } catch (const Error& e) {
+    error = e.what();
+    return false;
+  }
 }
 
-void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_f32(std::string& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u32(out, bits);
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over one frame's payload. Reads
-/// never throw; the caller checks ok() / error once at the end (short
-/// reads poison the cursor and record the offending offset).
-class Reader {
- public:
-  Reader(const std::string& bytes, std::string& error)
-      : bytes_(bytes), error_(error) {}
-
-  bool ok() const { return ok_; }
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-
-  std::uint32_t u32() {
-    const char* p = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    const char* p = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-      v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-    return v;
-  }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string bytes(std::size_t n) {
-    const char* p = take(n);
-    return ok_ ? std::string(p, n) : std::string();
-  }
-
-  bool done() {
-    if (ok_ && pos_ != bytes_.size()) {
-      std::ostringstream os;
-      os << "payload has " << bytes_.size() - pos_
-         << " trailing byte(s) after offset " << pos_;
-      set_error(os.str());
-    }
-    return ok_;
-  }
-
-  void set_error(const std::string& why) {
-    if (!ok_) return;
-    ok_ = false;
-    error_ = why;
-  }
-
- private:
-  const char* take(std::size_t n) {
-    static const char kZeros[8] = {0};
-    if (!ok_) return kZeros;
-    if (n > bytes_.size() - pos_) {
-      std::ostringstream os;
-      os << "payload truncated: need " << n << " byte(s) at offset " << pos_
-         << ", have " << bytes_.size() - pos_;
-      set_error(os.str());
-      return kZeros;
-    }
-    const char* p = bytes_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  const std::string& bytes_;
-  std::string& error_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+/// A semantic payload error (thrown into parse_payload).
+[[noreturn]] void reject(const std::string& why) { throw Error(why); }
 
 bool known_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kRequest) &&
@@ -175,138 +103,123 @@ const char* decode_status_name(DecodeStatus s) {
 }
 
 std::string encode_frame(FrameType type, const std::string& payload) {
-  CLEAR_CHECK_MSG(payload.size() <= kMaxPayload,
-                  "frame payload too large: " << payload.size());
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  put_u32(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload));
-  out.append(payload);
-  return out;
+  return frame(type, payload.size(),
+               [&](bytes::Writer& w) { w.raw(payload); });
 }
 
 std::string encode_request(const WireRequest& request) {
   CLEAR_CHECK_MSG(request.map.rank() == 2,
                   "wire request map must be [F, W], got "
                       << request.map.shape_str());
-  std::string p;
   const std::size_t f = request.map.extent(0);
   const std::size_t w = request.map.extent(1);
-  p.reserve(44 + 4 * f * w);
-  put_u64(p, request.request_id);
-  put_u64(p, request.user_id);
-  put_u64(p, request.arrival_us);
-  put_f64(p, request.quality);
-  put_i32(p, request.label.has_value() ? *request.label : -1);
-  put_u32(p, static_cast<std::uint32_t>(f));
-  put_u32(p, static_cast<std::uint32_t>(w));
-  for (const float v : request.map.flat()) put_f32(p, v);
-  return encode_frame(FrameType::kRequest, p);
+  return frame(FrameType::kRequest, 44 + 4 * f * w, [&](bytes::Writer& p) {
+    p.u64(request.request_id);
+    p.u64(request.user_id);
+    p.u64(request.arrival_us);
+    p.f64(request.quality);
+    p.i32(request.label.has_value() ? *request.label : -1);
+    p.u32(static_cast<std::uint32_t>(f));
+    p.u32(static_cast<std::uint32_t>(w));
+    p.f32s(request.map.flat());
+  });
 }
 
 std::string encode_response(const WireResponse& response) {
-  std::string p;
-  p.reserve(72 + response.error.size());
-  put_u64(p, response.request_id);
-  put_u64(p, response.user_id);
-  put_u32(p, response.shed ? 1 : 0);
-  put_i32(p, response.predicted);
-  put_f32(p, response.fear_probability);
-  put_u32(p, response.session_state);
-  put_u32(p, response.degraded ? 1 : 0);
-  put_u32(p, response.route_kind);
-  put_u64(p, response.route_id);
-  put_u32(p, response.batch_rows);
-  put_u64(p, response.arrival_us);
-  put_u64(p, response.exec_us);
-  put_u32(p, static_cast<std::uint32_t>(response.error.size()));
-  p.append(response.error);
-  return encode_frame(FrameType::kResponse, p);
+  return frame(FrameType::kResponse, 72 + response.error.size(),
+               [&](bytes::Writer& p) {
+                 p.u64(response.request_id);
+                 p.u64(response.user_id);
+                 p.u32(response.shed ? 1 : 0);
+                 p.i32(response.predicted);
+                 p.f32(response.fear_probability);
+                 p.u32(response.session_state);
+                 p.u32(response.degraded ? 1 : 0);
+                 p.u32(response.route_kind);
+                 p.u64(response.route_id);
+                 p.u32(response.batch_rows);
+                 p.u64(response.arrival_us);
+                 p.u64(response.exec_us);
+                 p.u32(static_cast<std::uint32_t>(response.error.size()));
+                 p.raw(response.error);
+               });
 }
 
 std::string encode_drain() {
-  return encode_frame(FrameType::kDrain, std::string());
+  return frame(FrameType::kDrain, 0, [](bytes::Writer&) {});
 }
 
 std::string encode_drain_ack(const WireDrainAck& ack) {
-  std::string p;
-  p.reserve(24);
-  put_u64(p, ack.requests);
-  put_u64(p, ack.ok);
-  put_u64(p, ack.shed);
-  return encode_frame(FrameType::kDrainAck, p);
+  return frame(FrameType::kDrainAck, 24, [&](bytes::Writer& p) {
+    p.u64(ack.requests);
+    p.u64(ack.ok);
+    p.u64(ack.shed);
+  });
 }
 
 std::string encode_shutdown() {
-  return encode_frame(FrameType::kShutdown, std::string());
+  return frame(FrameType::kShutdown, 0, [](bytes::Writer&) {});
 }
 
 std::string encode_ping(std::uint64_t nonce) {
-  std::string p;
-  put_u64(p, nonce);
-  return encode_frame(FrameType::kPing, p);
+  return frame(FrameType::kPing, 8, [&](bytes::Writer& p) { p.u64(nonce); });
 }
 
 std::string encode_pong(const WirePong& pong) {
-  std::string p;
-  put_u64(p, pong.nonce);
-  put_u64(p, pong.sessions);
-  return encode_frame(FrameType::kPong, p);
+  return frame(FrameType::kPong, 16, [&](bytes::Writer& p) {
+    p.u64(pong.nonce);
+    p.u64(pong.sessions);
+  });
 }
 
 std::string encode_export(std::uint64_t user_id) {
-  std::string p;
-  put_u64(p, user_id);
-  return encode_frame(FrameType::kExport, p);
+  return frame(FrameType::kExport, 8,
+               [&](bytes::Writer& p) { p.u64(user_id); });
 }
 
 std::string encode_session_image(const WireSessionImage& image) {
-  std::string p;
-  p.reserve(20 + image.image.size() + image.checkpoint.size());
-  put_u64(p, image.user_id);
-  put_u32(p, image.found ? 1 : 0);
-  put_u32(p, static_cast<std::uint32_t>(image.image.size()));
-  p.append(image.image);
-  put_u32(p, static_cast<std::uint32_t>(image.checkpoint.size()));
-  p.append(image.checkpoint);
-  // encode_frame enforces kMaxPayload: a session image plus a smoke-scale
+  // end_frame enforces kMaxPayload: a session image plus a smoke-scale
   // personal checkpoint is tens of KiB, far below the 1 MiB frame bound.
-  return encode_frame(FrameType::kSessionImage, p);
+  return frame(FrameType::kSessionImage,
+               20 + image.image.size() + image.checkpoint.size(),
+               [&](bytes::Writer& p) {
+                 p.u64(image.user_id);
+                 p.u32(image.found ? 1 : 0);
+                 p.u32(static_cast<std::uint32_t>(image.image.size()));
+                 p.raw(image.image);
+                 p.u32(static_cast<std::uint32_t>(image.checkpoint.size()));
+                 p.raw(image.checkpoint);
+               });
 }
 
 std::string encode_import_ack(const WireImportAck& ack) {
-  std::string p;
-  p.reserve(16 + ack.error.size());
-  put_u64(p, ack.user_id);
-  put_u32(p, ack.ok ? 1 : 0);
-  put_u32(p, static_cast<std::uint32_t>(ack.error.size()));
-  p.append(ack.error);
-  return encode_frame(FrameType::kImportAck, p);
+  return frame(FrameType::kImportAck, 16 + ack.error.size(),
+               [&](bytes::Writer& p) {
+                 p.u64(ack.user_id);
+                 p.u32(ack.ok ? 1 : 0);
+                 p.u32(static_cast<std::uint32_t>(ack.error.size()));
+                 p.raw(ack.error);
+               });
 }
 
 std::string encode_adopt(const std::string& journal_dir) {
-  std::string p;
-  p.reserve(4 + journal_dir.size());
-  put_u32(p, static_cast<std::uint32_t>(journal_dir.size()));
-  p.append(journal_dir);
-  return encode_frame(FrameType::kAdopt, p);
+  return frame(FrameType::kAdopt, 4 + journal_dir.size(),
+               [&](bytes::Writer& p) {
+                 p.u32(static_cast<std::uint32_t>(journal_dir.size()));
+                 p.raw(journal_dir);
+               });
 }
 
 std::string encode_adopt_ack(const WireAdoptAck& ack) {
-  std::string p;
-  p.reserve(24);
-  put_u64(p, ack.sessions);
-  put_u64(p, ack.personalized);
-  put_u64(p, ack.failed);
-  return encode_frame(FrameType::kAdoptAck, p);
+  return frame(FrameType::kAdoptAck, 24, [&](bytes::Writer& p) {
+    p.u64(ack.sessions);
+    p.u64(ack.personalized);
+    p.u64(ack.failed);
+  });
 }
 
 std::string encode_metrics_pull() {
-  return encode_frame(FrameType::kMetricsPull, std::string());
+  return frame(FrameType::kMetricsPull, 0, [](bytes::Writer&) {});
 }
 
 std::string encode_metrics_json(const std::string& json) {
@@ -337,269 +250,209 @@ DecodeStatus FrameDecoder::fail(DecodeStatus status, const std::string& why) {
 DecodeStatus FrameDecoder::next(Frame& out) {
   if (latched_ != DecodeStatus::kNeedMore) return latched_;
   if (buffered() < kHeaderSize) return DecodeStatus::kNeedMore;
-  const char* h = buf_.data() + pos_;
-  const auto u32_at = [h](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) | static_cast<std::uint8_t>(h[off + static_cast<std::size_t>(i)]);
-    return v;
-  };
-
-  const std::uint32_t magic = u32_at(0);
+  const std::string_view in = std::string_view(buf_).substr(pos_);
+  bytes::Reader h(in.substr(0, 8));
+  const std::uint32_t magic = h.u32();
   if (magic != kMagic) {
     std::ostringstream os;
     os << "bad magic 0x" << std::hex << magic << " (expected 0x" << kMagic
        << ")";
     return fail(DecodeStatus::kBadMagic, os.str());
   }
-  const auto version = static_cast<std::uint8_t>(h[4]);
+  const std::uint8_t version = h.u8();
   if (version != kVersion) {
     std::ostringstream os;
     os << "unsupported version " << static_cast<int>(version) << " (speak "
        << static_cast<int>(kVersion) << ")";
     return fail(DecodeStatus::kBadVersion, os.str());
   }
-  const auto type = static_cast<std::uint8_t>(h[5]);
+  const std::uint8_t type = h.u8();
   if (!known_type(type)) {
     std::ostringstream os;
     os << "unknown frame type " << static_cast<int>(type);
     return fail(DecodeStatus::kBadHeader, os.str());
   }
-  if (h[6] != 0 || h[7] != 0)
+  if (h.u16() != 0)
     return fail(DecodeStatus::kBadHeader, "reserved header bytes are nonzero");
-  const std::uint32_t len = u32_at(8);
-  if (len > max_payload_) {
-    std::ostringstream os;
-    os << "declared payload length " << len << " exceeds the bound "
-       << max_payload_;
-    return fail(DecodeStatus::kBadLength, os.str());
-  }
-  if (buffered() < kHeaderSize + len) return DecodeStatus::kNeedMore;
 
-  const std::uint32_t declared_crc = u32_at(12);
-  const std::uint32_t actual_crc = crc32(h + kHeaderSize, len);
-  if (declared_crc != actual_crc) {
-    std::ostringstream os;
-    os << "payload CRC mismatch: declared 0x" << std::hex << declared_crc
-       << ", computed 0x" << actual_crc;
-    return fail(DecodeStatus::kBadCrc, os.str());
+  const bytes::Record rec = bytes::read_record(in.substr(8), max_payload_);
+  switch (rec.status) {
+    case bytes::RecordStatus::kShort:
+      return DecodeStatus::kNeedMore;
+    case bytes::RecordStatus::kTooLong: {
+      std::ostringstream os;
+      os << "declared payload length " << rec.len << " exceeds the bound "
+         << max_payload_;
+      return fail(DecodeStatus::kBadLength, os.str());
+    }
+    case bytes::RecordStatus::kBadCrc: {
+      std::ostringstream os;
+      os << "payload CRC mismatch: declared 0x" << std::hex << rec.crc
+         << ", computed 0x" << rec.computed;
+      return fail(DecodeStatus::kBadCrc, os.str());
+    }
+    case bytes::RecordStatus::kOk:
+      break;
   }
-
   out.type = static_cast<FrameType>(type);
-  out.payload.assign(h + kHeaderSize, len);
-  pos_ += kHeaderSize + len;
+  out.payload.assign(rec.payload);
+  pos_ += kHeaderSize + rec.len;
   ++frames_;
   return DecodeStatus::kFrame;
 }
 
 bool parse_request(const Frame& frame, WireRequest& out, std::string& error) {
-  if (frame.type != FrameType::kRequest) {
-    error = "not a request frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.request_id = r.u64();
-  out.user_id = r.u64();
-  out.arrival_us = r.u64();
-  out.quality = r.f64();
-  const std::int32_t label = r.i32();
-  const std::uint32_t rows = r.u32();
-  const std::uint32_t cols = r.u32();
-  if (!r.ok()) return false;
-  if (label < -1 || label > 1) {
-    std::ostringstream os;
-    os << "label must be -1 (none), 0, or 1; got " << label;
-    r.set_error(os.str());
-    return false;
-  }
-  out.label = label < 0 ? std::nullopt : std::optional<int>(label);
-  if (rows == 0 || cols == 0) {
-    r.set_error("map dimensions must be nonzero");
-    return false;
-  }
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
-  // Bound cells by the bytes actually present before any size arithmetic:
-  // rows*cols reaches 2^62, where 44 + 4*cells wraps modulo 2^64 and a
-  // 44-byte payload would masquerade as an astronomically sized map whose
-  // allocation is a one-frame remote crash. The reader already consumed the
-  // 44-byte fixed prefix, so payload.size() >= 44 here.
-  const std::uint64_t map_bytes = frame.payload.size() - 44;
-  if (map_bytes % 4 != 0 || cells != map_bytes / 4) {
-    std::ostringstream os;
-    os << "map declared " << rows << "x" << cols << " (" << cells
-       << " cells) but frame carries " << map_bytes << " map byte(s)";
-    r.set_error(os.str());
-    return false;
-  }
-  out.map = Tensor({rows, cols});
-  for (std::size_t i = 0; i < cells; ++i) out.map[i] = r.f32();
-  return r.done();
+  return parse_payload(frame, FrameType::kRequest, "a request", error,
+                       [&](bytes::Reader& r) {
+    out.request_id = r.u64();
+    out.user_id = r.u64();
+    out.arrival_us = r.u64();
+    out.quality = r.f64();
+    const std::int32_t label = r.i32();
+    const std::uint32_t rows = r.u32();
+    const std::uint32_t cols = r.u32();
+    if (label < -1 || label > 1) {
+      std::ostringstream os;
+      os << "label must be -1 (none), 0, or 1; got " << label;
+      reject(os.str());
+    }
+    out.label = label < 0 ? std::nullopt : std::optional<int>(label);
+    if (rows == 0 || cols == 0) reject("map dimensions must be nonzero");
+    const std::uint64_t cells =
+        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
+    // Bound cells by the bytes actually present before any size arithmetic:
+    // rows*cols reaches 2^62, where 4*cells would wrap and a short payload
+    // could masquerade as an astronomically sized map whose allocation is a
+    // one-frame remote crash.
+    const std::uint64_t map_bytes = r.remaining();
+    if (map_bytes % 4 != 0 || cells != map_bytes / 4) {
+      std::ostringstream os;
+      os << "map declared " << rows << "x" << cols << " (" << cells
+         << " cells) but frame carries " << map_bytes << " map byte(s)";
+      reject(os.str());
+    }
+    out.map = Tensor({rows, cols});
+    r.f32s(out.map.flat());
+  });
 }
 
 bool parse_response(const Frame& frame, WireResponse& out,
                     std::string& error) {
-  if (frame.type != FrameType::kResponse) {
-    error = "not a response frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.request_id = r.u64();
-  out.user_id = r.u64();
-  const std::uint32_t status = r.u32();
-  out.predicted = r.i32();
-  out.fear_probability = r.f32();
-  out.session_state = r.u32();
-  const std::uint32_t degraded = r.u32();
-  out.route_kind = r.u32();
-  out.route_id = r.u64();
-  out.batch_rows = r.u32();
-  out.arrival_us = r.u64();
-  out.exec_us = r.u64();
-  const std::uint32_t error_len = r.u32();
-  if (!r.ok()) return false;
-  if (status > 1) {
-    std::ostringstream os;
-    os << "status must be 0 (ok) or 1 (shed); got " << status;
-    r.set_error(os.str());
-    return false;
-  }
-  if (degraded > 1) {
-    std::ostringstream os;
-    os << "degraded must be 0 or 1; got " << degraded;
-    r.set_error(os.str());
-    return false;
-  }
-  out.shed = status == 1;
-  out.degraded = degraded == 1;
-  out.error = r.bytes(error_len);
-  return r.done();
+  return parse_payload(frame, FrameType::kResponse, "a response", error,
+                       [&](bytes::Reader& r) {
+    out.request_id = r.u64();
+    out.user_id = r.u64();
+    const std::uint32_t status = r.u32();
+    out.predicted = r.i32();
+    out.fear_probability = r.f32();
+    out.session_state = r.u32();
+    const std::uint32_t degraded = r.u32();
+    out.route_kind = r.u32();
+    out.route_id = r.u64();
+    out.batch_rows = r.u32();
+    out.arrival_us = r.u64();
+    out.exec_us = r.u64();
+    const std::uint32_t error_len = r.u32();
+    if (status > 1) {
+      std::ostringstream os;
+      os << "status must be 0 (ok) or 1 (shed); got " << status;
+      reject(os.str());
+    }
+    if (degraded > 1) {
+      std::ostringstream os;
+      os << "degraded must be 0 or 1; got " << degraded;
+      reject(os.str());
+    }
+    out.shed = status == 1;
+    out.degraded = degraded == 1;
+    out.error = std::string(r.bytes(error_len));
+  });
 }
 
 bool parse_drain_ack(const Frame& frame, WireDrainAck& out,
                      std::string& error) {
-  if (frame.type != FrameType::kDrainAck) {
-    error = "not a drain-ack frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.requests = r.u64();
-  out.ok = r.u64();
-  out.shed = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kDrainAck, "a drain-ack", error,
+                       [&](bytes::Reader& r) {
+                         out.requests = r.u64();
+                         out.ok = r.u64();
+                         out.shed = r.u64();
+                       });
 }
 
 bool parse_ping(const Frame& frame, std::uint64_t& nonce, std::string& error) {
-  if (frame.type != FrameType::kPing) {
-    error = "not a ping frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  nonce = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kPing, "a ping", error,
+                       [&](bytes::Reader& r) { nonce = r.u64(); });
 }
 
 bool parse_pong(const Frame& frame, WirePong& out, std::string& error) {
-  if (frame.type != FrameType::kPong) {
-    error = "not a pong frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.nonce = r.u64();
-  out.sessions = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kPong, "a pong", error,
+                       [&](bytes::Reader& r) {
+                         out.nonce = r.u64();
+                         out.sessions = r.u64();
+                       });
 }
 
 bool parse_export(const Frame& frame, std::uint64_t& user_id,
                   std::string& error) {
-  if (frame.type != FrameType::kExport) {
-    error = "not an export frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  user_id = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kExport, "an export", error,
+                       [&](bytes::Reader& r) { user_id = r.u64(); });
 }
 
 bool parse_session_image(const Frame& frame, WireSessionImage& out,
                          std::string& error) {
-  if (frame.type != FrameType::kSessionImage) {
-    error = "not a session-image frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.user_id = r.u64();
-  const std::uint32_t found = r.u32();
-  if (!r.ok()) return false;
-  if (found > 1) {
-    std::ostringstream os;
-    os << "found must be 0 or 1; got " << found;
-    r.set_error(os.str());
-    return false;
-  }
-  out.found = found == 1;
-  const std::uint32_t image_len = r.u32();
-  out.image = r.bytes(image_len);
-  const std::uint32_t ckpt_len = r.u32();
-  out.checkpoint = r.bytes(ckpt_len);
-  if (!r.done()) return false;
-  if (out.found && out.image.empty()) {
-    r.set_error("found session carries no image bytes");
-    return false;
-  }
-  return true;
+  return parse_payload(frame, FrameType::kSessionImage, "a session-image",
+                       error, [&](bytes::Reader& r) {
+    out.user_id = r.u64();
+    const std::uint32_t found = r.u32();
+    if (found > 1) {
+      std::ostringstream os;
+      os << "found must be 0 or 1; got " << found;
+      reject(os.str());
+    }
+    out.found = found == 1;
+    out.image = std::string(r.bytes(r.u32()));
+    out.checkpoint = std::string(r.bytes(r.u32()));
+    r.expect_end();
+    if (out.found && out.image.empty())
+      reject("found session carries no image bytes");
+  });
 }
 
 bool parse_import_ack(const Frame& frame, WireImportAck& out,
                       std::string& error) {
-  if (frame.type != FrameType::kImportAck) {
-    error = "not an import-ack frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.user_id = r.u64();
-  const std::uint32_t ok = r.u32();
-  if (!r.ok()) return false;
-  if (ok > 1) {
-    std::ostringstream os;
-    os << "ok must be 0 or 1; got " << ok;
-    r.set_error(os.str());
-    return false;
-  }
-  out.ok = ok == 1;
-  const std::uint32_t error_len = r.u32();
-  out.error = r.bytes(error_len);
-  return r.done();
+  return parse_payload(frame, FrameType::kImportAck, "an import-ack", error,
+                       [&](bytes::Reader& r) {
+    out.user_id = r.u64();
+    const std::uint32_t ok = r.u32();
+    if (ok > 1) {
+      std::ostringstream os;
+      os << "ok must be 0 or 1; got " << ok;
+      reject(os.str());
+    }
+    out.ok = ok == 1;
+    out.error = std::string(r.bytes(r.u32()));
+  });
 }
 
 bool parse_adopt(const Frame& frame, std::string& journal_dir,
                  std::string& error) {
-  if (frame.type != FrameType::kAdopt) {
-    error = "not an adopt frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  const std::uint32_t dir_len = r.u32();
-  journal_dir = r.bytes(dir_len);
-  if (!r.done()) return false;
-  if (journal_dir.empty()) {
-    r.set_error("adopt names an empty journal directory");
-    return false;
-  }
-  return true;
+  return parse_payload(frame, FrameType::kAdopt, "an adopt", error,
+                       [&](bytes::Reader& r) {
+    journal_dir = std::string(r.bytes(r.u32()));
+    r.expect_end();
+    if (journal_dir.empty())
+      reject("adopt names an empty journal directory");
+  });
 }
 
 bool parse_adopt_ack(const Frame& frame, WireAdoptAck& out,
                      std::string& error) {
-  if (frame.type != FrameType::kAdoptAck) {
-    error = "not an adopt-ack frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.sessions = r.u64();
-  out.personalized = r.u64();
-  out.failed = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kAdoptAck, "an adopt-ack", error,
+                       [&](bytes::Reader& r) {
+                         out.sessions = r.u64();
+                         out.personalized = r.u64();
+                         out.failed = r.u64();
+                       });
 }
 
 bool parse_metrics_json(const Frame& frame, std::string& json,

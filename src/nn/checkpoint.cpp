@@ -1,125 +1,109 @@
 #include "nn/checkpoint.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <istream>
+#include <ostream>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
 #include "tensor/serialize.hpp"
 
 namespace clear::nn {
 
 namespace {
-constexpr std::uint64_t kCheckpointMagicV1 = 0x434C454152434B50ull;  // "CLEARCKP"
-constexpr std::uint64_t kCheckpointMagicV2 = 0x434C454152434B32ull;  // "CLEARCK2"
+constexpr std::uint64_t kCheckpointMagic = 0x434C454152434B32ull;  // "CLEARCK2"
 constexpr std::uint64_t kCheckpointVersion = 2;
+/// Smallest encoding of one entry: empty name + rank-0 CTSR header.
+constexpr std::size_t kMinEntryBytes = 8 + 16;
 
-void write_payload(std::ostream& os, Sequential& model) {
-  const std::vector<Param*> params = model.parameters();
-  io::write_u64(os, params.size());
-  for (const Param* p : params) {
-    io::write_string(os, p->name);
-    io::write_tensor(os, p->value);
+/// Seal (name, tensor) entries; `name_of` / `value_of` project an entry.
+template <typename Entries, typename NameOf, typename ValueOf>
+std::string seal(const Entries& entries, NameOf name_of, ValueOf value_of) {
+  std::size_t est = 32 + 8;
+  for (const auto& e : entries)
+    est += 8 + name_of(e).size() + 16 + value_of(e).rank() * 8 +
+           value_of(e).numel() * sizeof(float);
+  bytes::Writer w(est);
+  const std::size_t at =
+      bytes::begin_sealed(w, kCheckpointMagic, kCheckpointVersion);
+  w.u64(entries.size());
+  for (const auto& e : entries) {
+    w.u64(name_of(e).size());
+    w.raw(name_of(e));
+    io::put_tensor(w, value_of(e));
   }
+  bytes::end_sealed(w, at);
+  return w.take();
 }
-
-void read_payload(std::istream& is, Sequential& model) {
-  const std::vector<Param*> params = model.parameters();
-  const std::uint64_t count = io::read_u64(is);
-  CLEAR_CHECK_MSG(count == params.size(),
-                  "checkpoint parameter count mismatch: file has "
-                      << count << ", model has " << params.size());
-  for (Param* p : params) {
-    const std::string name = io::read_string(is);
-    CLEAR_CHECK_MSG(name == p->name, "checkpoint parameter name mismatch: "
-                                         << name << " vs " << p->name);
-    Tensor t = io::read_tensor(is);
-    CLEAR_CHECK_MSG(t.same_shape(p->value),
-                    "checkpoint shape mismatch for " << name << ": "
-                        << t.shape_str() << " vs " << p->value.shape_str());
-    p->value = std::move(t);
-  }
-}
-
 }  // namespace
 
-void save_checkpoint(std::ostream& os, Sequential& model,
-                     CheckpointFormat format) {
-  if (format == CheckpointFormat::kLegacyV1) {
-    io::write_u64(os, kCheckpointMagicV1);
-    write_payload(os, model);
-    return;
-  }
-  std::ostringstream payload_os(std::ios::binary);
-  write_payload(payload_os, model);
-  const std::string payload = payload_os.str();
-  io::write_u64(os, kCheckpointMagicV2);
-  io::write_u64(os, kCheckpointVersion);
-  io::write_u64(os, payload.size());
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  io::write_u64(os, crc32(payload));
+std::string encode_checkpoint(Sequential& model) {
+  return seal(
+      model.parameters(), [](const Param* p) -> const std::string& {
+        return p->name;
+      },
+      [](const Param* p) -> const Tensor& { return p->value; });
 }
 
-void save_checkpoint_file(const std::string& path, Sequential& model) {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  fault::maybe_fail_io("checkpoint open");
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot open checkpoint for writing: " << tmp);
-    save_checkpoint(os, model);
-    CLEAR_CHECK_MSG(os.good(), "IO error writing checkpoint: " << tmp);
+std::string encode_checkpoint(const std::vector<NamedTensor>& entries) {
+  return seal(
+      entries, [](const NamedTensor& e) -> const std::string& { return e.name; },
+      [](const NamedTensor& e) -> const Tensor& { return e.value; });
+}
+
+std::vector<NamedTensor> decode_checkpoint(std::string_view blob,
+                                           bool verify_crc) {
+  bytes::Reader r(bytes::open_sealed(blob, kCheckpointMagic,
+                                     kCheckpointVersion, "checkpoint",
+                                     verify_crc),
+                  "checkpoint payload");
+  std::vector<NamedTensor> out(r.count(r.u64(), kMinEntryBytes));
+  for (NamedTensor& e : out) {
+    e.name = std::string(r.bytes(r.u64()));
+    e.value = io::get_tensor(r);
   }
-  // The guarded rename is the commit point: an injected failure here
-  // simulates a crash that leaves only the temp file behind.
-  fault::maybe_fail_io("checkpoint rename");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec, "cannot commit checkpoint " << path << ": "
-                                                   << ec.message());
+  return out;
+}
+
+void load_checkpoint(std::string_view blob, Sequential& model) {
+  std::vector<NamedTensor> entries = decode_checkpoint(blob);
+  const std::vector<Param*> params = model.parameters();
+  CLEAR_CHECK_MSG(entries.size() == params.size(),
+                  "checkpoint parameter count mismatch: file has "
+                      << entries.size() << ", model has " << params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const NamedTensor& e = entries[i];
+    CLEAR_CHECK_MSG(e.name == params[i]->name,
+                    "checkpoint parameter name mismatch: "
+                        << e.name << " vs " << params[i]->name);
+    CLEAR_CHECK_MSG(e.value.same_shape(params[i]->value),
+                    "checkpoint shape mismatch for "
+                        << e.name << ": " << e.value.shape_str() << " vs "
+                        << params[i]->value.shape_str());
+  }
+  for (std::size_t i = 0; i < params.size(); ++i)
+    params[i]->value = std::move(entries[i].value);
+}
+
+std::uint32_t checkpoint_digest(std::string_view blob) {
+  if (blob.size() >= 32 && bytes::Reader(blob).u64() == kCheckpointMagic)
+    return static_cast<std::uint32_t>(
+        bytes::Reader(blob.substr(blob.size() - 8)).u64());
+  return crc32(blob.data(), blob.size());
+}
+
+void save_checkpoint(std::ostream& os, Sequential& model) {
+  const std::string blob = encode_checkpoint(model);
+  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  CLEAR_CHECK_MSG(os.good(), "IO error writing checkpoint");
 }
 
 void load_checkpoint(std::istream& is, Sequential& model) {
-  const std::uint64_t magic = io::read_u64(is);
-  if (magic == kCheckpointMagicV1) {
-    // Pre-integrity format: no length, no CRC. Parse errors are the only
-    // corruption signal we can give.
-    read_payload(is, model);
-    return;
-  }
-  CLEAR_CHECK_MSG(magic == kCheckpointMagicV2, "bad checkpoint magic");
-  const std::uint64_t version = io::read_u64(is);
-  CLEAR_CHECK_MSG(version == kCheckpointVersion,
-                  "unsupported checkpoint version " << version);
-  const std::uint64_t length = io::read_u64(is);
-  CLEAR_CHECK_MSG(length < (1ull << 32),
-                  "implausible checkpoint payload length " << length);
-  std::string payload(length, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(length));
-  const auto got = static_cast<std::uint64_t>(is.gcount());
-  CLEAR_CHECK_MSG(got == length, "truncated checkpoint: payload has "
-                                     << got << " of " << length << " bytes");
-  unsigned char footer[8];
-  is.read(reinterpret_cast<char*>(footer), 8);
-  CLEAR_CHECK_MSG(is.gcount() == 8,
-                  "truncated checkpoint: missing CRC footer");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) stored |= std::uint64_t(footer[i]) << (8 * i);
-  const std::uint32_t computed = crc32(payload);
-  CLEAR_CHECK_MSG(stored == computed,
-                  "checkpoint CRC mismatch: stored " << stored << ", computed "
-                                                     << computed
-                                                     << " (corrupted blob)");
-  std::istringstream payload_is(payload, std::ios::binary);
-  read_payload(payload_is, model);
-}
-
-void load_checkpoint_file(const std::string& path, Sequential& model) {
-  std::ifstream is(path, std::ios::binary);
-  CLEAR_CHECK_MSG(is.good(), "cannot open checkpoint: " << path);
-  load_checkpoint(is, model);
+  std::string blob;
+  char buf[1 << 16];
+  while (is.read(buf, sizeof(buf)) || is.gcount() > 0)
+    blob.append(buf, static_cast<std::size_t>(is.gcount()));
+  load_checkpoint(blob, model);
 }
 
 std::vector<Tensor> snapshot_parameters(Sequential& model) {

@@ -5,26 +5,19 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "artifact/store.hpp"
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "edge/quantize.hpp"
+#include "nn/checkpoint.hpp"
 #include "tensor/kernels/kernels.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 
 namespace clear::serve::delta {
 
 namespace {
-
-// Checkpoint container magics (mirrors src/nn/checkpoint.cpp; the codec
-// parses and re-emits checkpoint blobs without a model to validate against).
-constexpr std::uint64_t kCkptMagicV1 = 0x434C454152434B50ull;  // "CLEARCKP"
-constexpr std::uint64_t kCkptMagicV2 = 0x434C454152434B32ull;  // "CLEARCK2"
-constexpr std::uint64_t kCkptVersion = 2;
 
 constexpr std::uint32_t kDeltaCodecVersion = 1;
 
@@ -40,130 +33,7 @@ enum class Enc : std::uint8_t {
   kGrid8 = 4,
 };
 
-struct NamedTensor {
-  std::string name;
-  Tensor value;
-};
-
-// -- Checkpoint blob <-> named tensors ---------------------------------------
-
-/// `verify_crc` false skips the v2 payload-CRC pass — safe only when a
-/// later end-to-end check (the reconstruction's full-blob CRC in decode())
-/// still catches a corrupt input, and worth one full digest pass per cold
-/// load.
-std::vector<NamedTensor> parse_checkpoint(const std::string& blob,
-                                          bool verify_crc = true) {
-  std::istringstream is(blob, std::ios::binary);
-  const std::uint64_t magic = io::read_u64(is);
-  std::string payload;
-  if (magic == kCkptMagicV1) {
-    payload = blob.substr(8);
-  } else {
-    CLEAR_CHECK_MSG(magic == kCkptMagicV2, "bad checkpoint magic");
-    const std::uint64_t version = io::read_u64(is);
-    CLEAR_CHECK_MSG(version == kCkptVersion,
-                    "unsupported checkpoint version " << version);
-    const std::uint64_t length = io::read_u64(is);
-    CLEAR_CHECK_MSG(length < (1ull << 32),
-                    "implausible checkpoint payload length " << length);
-    payload.resize(length);
-    is.read(payload.data(), static_cast<std::streamsize>(length));
-    CLEAR_CHECK_MSG(static_cast<std::uint64_t>(is.gcount()) == length,
-                    "truncated checkpoint payload");
-    const std::uint64_t stored = io::read_u64(is);
-    CLEAR_CHECK_MSG(!verify_crc || stored == crc32(payload),
-                    "checkpoint CRC mismatch");
-  }
-  std::istringstream ps(payload, std::ios::binary);
-  const std::uint64_t count = io::read_u64(ps);
-  CLEAR_CHECK_MSG(count < (1ull << 20),
-                  "implausible checkpoint parameter count " << count);
-  std::vector<NamedTensor> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    NamedTensor nt;
-    nt.name = io::read_string(ps);
-    nt.value = io::read_tensor(ps);
-    out.push_back(std::move(nt));
-  }
-  return out;
-}
-
-// Tensor wire constants, mirroring tensor/serialize.cpp ('CTSR' v1). A
-// divergence cannot corrupt data: encode() bails to full storage when its
-// re-serialization is not byte-identical to the input, and decode() checks
-// the reconstruction against the stored full-blob CRC.
-constexpr std::uint32_t kTensorWireMagic = 0x43545352;
-constexpr std::uint32_t kTensorWireVersion = 1;
-
-template <typename T>
-void append_raw(std::string& out, T v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-/// Byte-identical to nn::save_checkpoint at format kCrcV2 — the
-/// reconstruction target the full-blob CRC in delta.meta is checked
-/// against. Built by direct string append rather than ostringstream: this
-/// runs on every cold load and the stream double-buffering dominated it in
-/// profiles.
-std::string serialize_v2(const std::vector<NamedTensor>& params) {
-  std::string out;
-  std::size_t est = 32 + 8;
-  for (const NamedTensor& p : params)
-    est += 8 + p.name.size() + 16 + p.value.rank() * 8 +
-           p.value.numel() * sizeof(float);
-  out.reserve(est);
-  append_raw(out, kCkptMagicV2);
-  append_raw(out, kCkptVersion);
-  append_raw(out, std::uint64_t{0});  // payload length, patched below
-  const std::size_t payload_at = out.size();
-  append_raw(out, static_cast<std::uint64_t>(params.size()));
-  for (const NamedTensor& p : params) {
-    append_raw(out, static_cast<std::uint64_t>(p.name.size()));
-    out.append(p.name);
-    append_raw(out, kTensorWireMagic);
-    append_raw(out, kTensorWireVersion);
-    append_raw(out, static_cast<std::uint64_t>(p.value.rank()));
-    for (std::size_t d = 0; d < p.value.rank(); ++d)
-      append_raw(out, static_cast<std::uint64_t>(p.value.extent(d)));
-    out.append(reinterpret_cast<const char*>(p.value.data()),
-               p.value.numel() * sizeof(float));
-  }
-  const std::uint64_t length = out.size() - payload_at;
-  std::memcpy(out.data() + 16, &length, sizeof(length));
-  append_raw(out, static_cast<std::uint64_t>(
-                      crc32(out.data() + payload_at, length)));
-  return out;
-}
-
-/// Identity digest of a checkpoint blob. NOT plain crc32(blob): a v2
-/// checkpoint ends in its own CRC-32 footer, and `m ++ crc32(m)` is a CRC
-/// codeword — so a whole-blob IEEE CRC of two *different* v2 checkpoints of
-/// equal size is identical (the differences cancel by linearity), which
-/// would let a delta silently apply against a drifted base.
-///
-/// For v2 the digest is the payload CRC already stored in the footer (the
-/// header is a pure function of the payload, so the payload CRC identifies
-/// the blob) — reading it costs nothing, where recomputing is a full pass
-/// per cold load. Trusting the stored footer is sound because decode()'s
-/// final check compares meta.full_crc against a footer *recomputed* by
-/// serialize_v2 from the reconstructed payload: any base or container
-/// damage perturbs the reconstruction and fails that check.
-std::uint32_t blob_fingerprint(const std::string& blob) {
-  if (blob.size() >= 32) {
-    std::uint64_t magic = 0;
-    for (int i = 7; i >= 0; --i)
-      magic = (magic << 8) | static_cast<unsigned char>(blob[i]);
-    if (magic == kCkptMagicV2) {
-      std::uint64_t footer = 0;
-      for (int i = 7; i >= 0; --i)
-        footer = (footer << 8) |
-                 static_cast<unsigned char>(blob[blob.size() - 8 + i]);
-      return static_cast<std::uint32_t>(footer);
-    }
-  }
-  return crc32(blob);
-}
+using nn::NamedTensor;
 
 // -- Bit helpers -------------------------------------------------------------
 
@@ -228,28 +98,6 @@ float float_from_half(std::uint16_t h) {
 
 // -- Residual coder (bitmap + zigzag varints) --------------------------------
 
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80u) {
-    artifact::put_u8(out, static_cast<std::uint8_t>((v & 0x7Fu) | 0x80u));
-    v >>= 7;
-  }
-  artifact::put_u8(out, static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t get_varint(std::string_view in, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    CLEAR_CHECK_MSG(pos < in.size(),
-                    "delta payload truncated in a varint at offset " << pos);
-    CLEAR_CHECK_MSG(shift < 64, "delta varint overruns 64 bits");
-    const std::uint8_t b = static_cast<std::uint8_t>(in[pos++]);
-    v |= std::uint64_t(b & 0x7Fu) << shift;
-    if ((b & 0x80u) == 0) return v;
-    shift += 7;
-  }
-}
-
 std::uint64_t zigzag(std::int64_t r) {
   return (static_cast<std::uint64_t>(r) << 1) ^
          static_cast<std::uint64_t>(r >> 63);
@@ -260,8 +108,7 @@ std::int64_t unzigzag(std::uint64_t z) {
          -static_cast<std::int64_t>(z & 1u);
 }
 
-std::string encode_residuals(const std::vector<std::int64_t>& r) {
-  std::string out;
+void put_residuals(bytes::Writer& w, const std::vector<std::int64_t>& r) {
   const std::size_t n = r.size();
   std::string bitmap((n + 7) / 8, '\0');
   std::uint64_t nnz = 0;
@@ -270,46 +117,43 @@ std::string encode_residuals(const std::vector<std::int64_t>& r) {
       bitmap[i >> 3] |= static_cast<char>(1u << (i & 7u));
       ++nnz;
     }
-  artifact::put_u64(out, nnz);
-  out += bitmap;
+  w.u64(nnz);
+  w.raw(bitmap);
   for (std::size_t i = 0; i < n; ++i)
-    if (r[i] != 0) put_varint(out, zigzag(r[i]));
-  return out;
+    if (r[i] != 0) w.varint(zigzag(r[i]));
 }
 
-/// Decode one residual stream starting at `pos`, advancing it. Callers with
-/// a single stream use decode_residuals() below, which also rejects
-/// trailing bytes.
-std::vector<std::int64_t> decode_residuals_at(std::string_view payload,
-                                              std::size_t& pos,
-                                              std::size_t n) {
-  const std::uint64_t nnz = artifact::get_u64(payload, pos, "delta residuals");
-  const std::size_t bitmap_bytes = (n + 7) / 8;
-  CLEAR_CHECK_MSG(pos + bitmap_bytes <= payload.size(),
-                  "delta residual bitmap truncated at offset " << pos);
-  const std::string_view bitmap = payload.substr(pos, bitmap_bytes);
-  pos += bitmap_bytes;
-  std::vector<std::int64_t> r(n, 0);
+std::string encode_residuals(const std::vector<std::int64_t>& r) {
+  bytes::Writer w;
+  put_residuals(w, r);
+  return w.take();
+}
+
+/// Decode one residual stream of `n` weights from `r`. Callers with a
+/// single stream use decode_residuals() below, which also rejects trailing
+/// bytes.
+std::vector<std::int64_t> get_residuals(bytes::Reader& r, std::size_t n) {
+  const std::uint64_t nnz = r.u64();
+  const std::string_view bitmap = r.bytes((n + 7) / 8);
+  std::vector<std::int64_t> out(n, 0);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < n; ++i)
     if (bitmap[i >> 3] & (1u << (i & 7u))) {
-      r[i] = unzigzag(get_varint(payload, pos));
+      out[i] = unzigzag(r.varint());
       ++seen;
     }
   CLEAR_CHECK_MSG(seen == nnz, "delta residual bitmap claims "
                                    << seen << " nonzeros, header says "
                                    << nnz);
-  return r;
+  return out;
 }
 
 std::vector<std::int64_t> decode_residuals(std::string_view payload,
                                            std::size_t n) {
-  std::size_t pos = 0;
-  std::vector<std::int64_t> r = decode_residuals_at(payload, pos, n);
-  CLEAR_CHECK_MSG(pos == payload.size(),
-                  "delta residual payload has " << (payload.size() - pos)
-                                                << " trailing bytes");
-  return r;
+  bytes::Reader r(payload, "delta residuals");
+  std::vector<std::int64_t> out = get_residuals(r, n);
+  r.expect_end();
+  return out;
 }
 
 // -- Dense residual coding (kGrid8 mode 1) -----------------------------------
@@ -405,23 +249,23 @@ std::string encode_dense_residuals(const std::vector<std::int64_t>& r,
   }
   const std::string body = rans_encode(indices, freqs, cum);
 
-  std::string out;
-  put_varint(out, syms.size());
+  bytes::Writer w;
+  w.varint(syms.size());
   for (std::size_t i = 0; i < syms.size(); ++i) {
-    put_varint(out, syms[i]);
-    put_varint(out, freqs[i]);
+    w.varint(syms[i]);
+    w.varint(freqs[i]);
   }
-  put_varint(out, body.size());
-  out += body;
-  return out;
+  w.varint(body.size());
+  w.raw(body);
+  return w.take();
 }
 
-/// Inverse of encode_dense_residuals, consuming from `pos`. Fills both the
+/// Inverse of encode_dense_residuals, consuming from `in`. Fills both the
 /// residuals and the sign-of-zero flags.
-void decode_dense_residuals(std::string_view payload, std::size_t& pos,
-                            std::size_t n, std::vector<std::int64_t>& r,
-                            std::vector<std::int64_t>& neg_zero) {
-  const std::uint64_t n_symbols = get_varint(payload, pos);
+void get_dense_residuals(bytes::Reader& in, std::size_t n,
+                         std::vector<std::int64_t>& r,
+                         std::vector<std::int64_t>& neg_zero) {
+  const std::uint64_t n_symbols = in.varint();
   CLEAR_CHECK_MSG(n_symbols > 0 && n_symbols <= 256,
                   "delta dense residual table has " << n_symbols
                                                     << " symbols");
@@ -429,10 +273,10 @@ void decode_dense_residuals(std::string_view payload, std::size_t& pos,
   std::vector<std::uint32_t> freqs(n_symbols);
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < n_symbols; ++i) {
-    syms[i] = get_varint(payload, pos);
+    syms[i] = in.varint();
     CLEAR_CHECK_MSG(i == 0 || syms[i] > syms[i - 1],
                     "delta dense residual symbols not ascending");
-    const std::uint64_t f = get_varint(payload, pos);
+    const std::uint64_t f = in.varint();
     CLEAR_CHECK_MSG(f >= 1 && f <= kDenseTotal,
                     "delta dense residual frequency " << f
                                                       << " out of range");
@@ -451,11 +295,7 @@ void decode_dense_residuals(std::string_view payload, std::size_t& pos,
     std::fill(lut.begin() + cum[i], lut.begin() + cum[i + 1],
               static_cast<std::uint8_t>(i));
 
-  const std::uint64_t body_len = get_varint(payload, pos);
-  CLEAR_CHECK_MSG(pos + body_len <= payload.size(),
-                  "delta dense residual body truncated at offset " << pos);
-  const std::string_view body = payload.substr(pos, body_len);
-  pos += body_len;
+  const std::string_view body = in.bytes(in.varint());
   CLEAR_CHECK_MSG(body.size() >= 4,
                   "delta dense residual body too short for an rANS state");
   std::size_t bp = 0;
@@ -546,19 +386,20 @@ std::optional<std::string> try_grid8(const Tensor& base, const Tensor& ft) {
     if (!exact) continue;
     // Mode 0: sparse bitmap+varint streams (residual, then sign-of-zero).
     // Mode 1: rANS-coded dense stream. Smallest wins.
-    std::string sparse(1, '\0');
-    sparse += encode_residuals(r);
-    sparse += encode_residuals(neg_zero);
-    std::string dense = encode_dense_residuals(r, neg_zero);
-    std::string payload;
-    artifact::put_u32(payload, f32_bits(s));
+    bytes::Writer sparse;
+    sparse.u8(0);
+    put_residuals(sparse, r);
+    put_residuals(sparse, neg_zero);
+    const std::string dense = encode_dense_residuals(r, neg_zero);
+    bytes::Writer payload;
+    payload.u32(f32_bits(s));
     if (!dense.empty() && dense.size() + 1 < sparse.size()) {
-      payload += '\x01';
-      payload += dense;
+      payload.u8(1);
+      payload.raw(dense);
     } else {
-      payload += sparse;
+      payload.raw(sparse.take());
     }
-    return payload;
+    return payload.take();
   }
   return std::nullopt;
 }
@@ -572,10 +413,9 @@ std::string encode_ulp(const Tensor& base, const Tensor& ft) {
 }
 
 std::string encode_raw(const Tensor& ft) {
-  std::string out;
-  out.reserve(ft.numel() * 4);
-  for (const float v : ft.flat()) artifact::put_u32(out, f32_bits(v));
-  return out;
+  bytes::Writer w(ft.numel() * 4);
+  w.f32s(ft.flat());
+  return w.take();
 }
 
 std::vector<float> decode_tensor(Enc enc, std::string_view payload,
@@ -595,9 +435,7 @@ std::vector<float> decode_tensor(Enc enc, std::string_view payload,
                       "delta tensor '" << name << "': raw payload is "
                                        << payload.size() << " bytes, want "
                                        << n * 4);
-      std::size_t pos = 0;
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] = f32_from_bits(artifact::get_u32(payload, pos, "delta raw"));
+      bytes::Reader(payload, "delta raw").f32s(out);
       break;
     }
     case Enc::kUlpDelta: {
@@ -617,24 +455,21 @@ std::vector<float> decode_tensor(Enc enc, std::string_view payload,
       break;
     }
     case Enc::kGrid8: {
-      std::size_t pos = 0;
-      const edge::QuantParams qp{
-          f32_from_bits(artifact::get_u32(payload, pos, "delta grid8"))};
-      const std::uint8_t mode = artifact::get_u8(payload, pos, "delta grid8");
+      bytes::Reader in(payload, "delta grid8");
+      const edge::QuantParams qp{in.f32()};
+      const std::uint8_t mode = in.u8();
       std::vector<std::int64_t> r;
       std::vector<std::int64_t> neg_zero;
       if (mode == 0) {
-        r = decode_residuals_at(payload, pos, n);
-        neg_zero = decode_residuals_at(payload, pos, n);
+        r = get_residuals(in, n);
+        neg_zero = get_residuals(in, n);
       } else {
         CLEAR_CHECK_MSG(mode == 1, "delta tensor '"
                                        << name << "': unknown grid8 mode "
                                        << int(mode));
-        decode_dense_residuals(payload, pos, n, r, neg_zero);
+        get_dense_residuals(in, n, r, neg_zero);
       }
-      CLEAR_CHECK_MSG(pos == payload.size(),
-                      "delta grid8 payload has " << (payload.size() - pos)
-                                                 << " trailing bytes");
+      in.expect_end();
       // The SIMD quantize kernel is bit-identical to the scalar
       // edge::quantize_value the encoder used (the kernel sweep enforces
       // cross-ISA bit-identity); one bulk call replaces a per-weight
@@ -674,37 +509,35 @@ struct Meta {
 };
 
 std::string encode_meta(const Meta& m) {
-  std::string out;
-  artifact::put_u32(out, m.codec_version);
-  artifact::put_u8(out, static_cast<std::uint8_t>(m.base.kind));
-  artifact::put_u64(out, m.base.id);
-  artifact::put_u64(out, m.base_bytes);
-  artifact::put_u32(out, m.base_crc);
-  artifact::put_u64(out, m.full_bytes);
-  artifact::put_u32(out, m.full_crc);
-  artifact::put_u64(out, m.tensor_count);
-  return out;
+  bytes::Writer w;
+  w.u32(m.codec_version);
+  w.u8(static_cast<std::uint8_t>(m.base.kind));
+  w.u64(m.base.id);
+  w.u64(m.base_bytes);
+  w.u32(m.base_crc);
+  w.u64(m.full_bytes);
+  w.u32(m.full_crc);
+  w.u64(m.tensor_count);
+  return w.take();
 }
 
-Meta decode_meta(std::string_view bytes) {
+Meta decode_meta(std::string_view block) {
+  bytes::Reader r(block, "delta.meta");
   Meta m;
-  std::size_t pos = 0;
-  m.codec_version = artifact::get_u32(bytes, pos, "delta.meta");
+  m.codec_version = r.u32();
   CLEAR_CHECK_MSG(m.codec_version == kDeltaCodecVersion,
                   "unsupported delta codec version " << m.codec_version);
-  const std::uint8_t kind = artifact::get_u8(bytes, pos, "delta.meta");
+  const std::uint8_t kind = r.u8();
   CLEAR_CHECK_MSG(kind <= 1, "delta.meta names unknown base kind "
                                  << static_cast<int>(kind));
   m.base.kind = static_cast<BaseRef::Kind>(kind);
-  m.base.id = artifact::get_u64(bytes, pos, "delta.meta");
-  m.base_bytes = artifact::get_u64(bytes, pos, "delta.meta");
-  m.base_crc = artifact::get_u32(bytes, pos, "delta.meta");
-  m.full_bytes = artifact::get_u64(bytes, pos, "delta.meta");
-  m.full_crc = artifact::get_u32(bytes, pos, "delta.meta");
-  m.tensor_count = artifact::get_u64(bytes, pos, "delta.meta");
-  CLEAR_CHECK_MSG(pos == bytes.size(),
-                  "delta.meta has " << (bytes.size() - pos)
-                                    << " trailing bytes");
+  m.base.id = r.u64();
+  m.base_bytes = r.u64();
+  m.base_crc = r.u32();
+  m.full_bytes = r.u64();
+  m.full_crc = r.u32();
+  m.tensor_count = r.u64();
+  r.expect_end();
   return m;
 }
 
@@ -722,8 +555,8 @@ std::optional<std::string> encode(const std::string& base_blob,
   std::vector<NamedTensor> base_params;
   std::vector<NamedTensor> ft_params;
   try {
-    base_params = parse_checkpoint(base_blob);
-    ft_params = parse_checkpoint(ft_blob);
+    base_params = nn::decode_checkpoint(base_blob);
+    ft_params = nn::decode_checkpoint(ft_blob);
   } catch (const Error&) {
     return std::nullopt;  // Unparseable input: persist the full blob.
   }
@@ -732,15 +565,15 @@ std::optional<std::string> encode(const std::string& base_blob,
     if (base_params[i].name != ft_params[i].name ||
         !base_params[i].value.same_shape(ft_params[i].value))
       return std::nullopt;
-  // The reconstruction target is the v2 re-serialization; a blob that does
-  // not round-trip byte-identically (e.g. a legacy v1 input) stays full.
-  if (serialize_v2(ft_params) != ft_blob) return std::nullopt;
+  // The reconstruction target is the checkpoint re-encoding; a blob that
+  // does not round-trip byte-identically stays full.
+  if (nn::encode_checkpoint(ft_params) != ft_blob) return std::nullopt;
 
   EncodeStats st;
   st.tensors = ft_params.size();
   st.full_bytes = ft_blob.size();
-  std::string tensors_block;
-  std::string values_block;
+  bytes::Writer tensors_block;
+  bytes::Writer values_block;
   for (std::size_t i = 0; i < ft_params.size(); ++i) {
     const Tensor& b = base_params[i].value;
     const Tensor& f = ft_params[i].value;
@@ -776,27 +609,26 @@ std::optional<std::string> encode(const std::string& base_blob,
         default: break;
       }
     }
-    artifact::put_u32(tensors_block,
-                      static_cast<std::uint32_t>(ft_params[i].name.size()));
-    tensors_block += ft_params[i].name;
-    artifact::put_u8(tensors_block, static_cast<std::uint8_t>(enc));
-    artifact::put_u64(tensors_block, n);
-    artifact::put_u64(tensors_block, payload.size());
-    values_block += payload;
+    tensors_block.u32(static_cast<std::uint32_t>(ft_params[i].name.size()));
+    tensors_block.raw(ft_params[i].name);
+    tensors_block.u8(static_cast<std::uint8_t>(enc));
+    tensors_block.u64(n);
+    tensors_block.u64(payload.size());
+    values_block.raw(payload);
   }
 
   Meta meta;
   meta.base = base;
   meta.base_bytes = base_blob.size();
-  meta.base_crc = blob_fingerprint(base_blob);
+  meta.base_crc = nn::checkpoint_digest(base_blob);
   meta.full_bytes = ft_blob.size();
-  meta.full_crc = blob_fingerprint(ft_blob);
+  meta.full_crc = nn::checkpoint_digest(ft_blob);
   meta.tensor_count = ft_params.size();
 
   artifact::Writer writer;
   writer.add_block(kMetaBlock, encode_meta(meta));
-  writer.add_block(kTensorsBlock, tensors_block);
-  writer.add_block(kValuesBlock, values_block);
+  writer.add_block(kTensorsBlock, tensors_block.take());
+  writer.add_block(kValuesBlock, values_block.take());
   std::string container = writer.finish();
   if (container.size() >= ft_blob.size()) return std::nullopt;
 
@@ -820,41 +652,33 @@ std::string decode(const std::string& delta_blob,
       meta.base.kind == BaseRef::Kind::kGeneral ? "general" : "cluster";
   CLEAR_CHECK_MSG(
       meta.base_bytes == base_blob.size() &&
-          meta.base_crc == blob_fingerprint(base_blob),
+          meta.base_crc == nn::checkpoint_digest(base_blob),
       "delta base mismatch: " << base_name << " " << meta.base.id
                               << " checkpoint is " << base_blob.size()
-                              << " bytes, crc " << blob_fingerprint(base_blob)
+                              << " bytes, crc "
+                              << nn::checkpoint_digest(base_blob)
                               << "; delta was encoded against "
                               << meta.base_bytes << " bytes, crc "
                               << meta.base_crc);
   // No payload-CRC pass on the base: the reconstruction check below
   // recomputes the full blob's CRC, so damage anywhere in the base still
-  // fails loudly (see blob_fingerprint).
+  // fails loudly (see nn::checkpoint_digest).
   const std::vector<NamedTensor> base_params =
-      parse_checkpoint(base_blob, /*verify_crc=*/false);
+      nn::decode_checkpoint(base_blob, /*verify_crc=*/false);
   CLEAR_CHECK_MSG(meta.tensor_count == base_params.size(),
                   "delta has " << meta.tensor_count
                                << " tensor records, base checkpoint has "
                                << base_params.size());
 
-  const std::string_view tensors = reader.block(kTensorsBlock);
-  const std::string_view values = reader.block(kValuesBlock);
+  bytes::Reader tensors(reader.block(kTensorsBlock), "delta.tensors");
+  bytes::Reader values(reader.block(kValuesBlock), "delta.values");
   std::vector<NamedTensor> out;
   out.reserve(base_params.size());
-  std::size_t tpos = 0;
-  std::size_t vpos = 0;
   for (std::size_t i = 0; i < base_params.size(); ++i) {
-    const std::uint32_t name_len =
-        artifact::get_u32(tensors, tpos, "delta.tensors");
-    CLEAR_CHECK_MSG(tpos + name_len <= tensors.size(),
-                    "delta.tensors truncated in record " << i << "'s name");
-    const std::string name(tensors.substr(tpos, name_len));
-    tpos += name_len;
-    const std::uint8_t enc = artifact::get_u8(tensors, tpos, "delta.tensors");
-    const std::uint64_t numel =
-        artifact::get_u64(tensors, tpos, "delta.tensors");
-    const std::uint64_t payload_len =
-        artifact::get_u64(tensors, tpos, "delta.tensors");
+    const std::string name(tensors.bytes(tensors.u32()));
+    const std::uint8_t enc = tensors.u8();
+    const std::uint64_t numel = tensors.u64();
+    const std::uint64_t payload_len = tensors.u64();
     CLEAR_CHECK_MSG(name == base_params[i].name,
                     "delta tensor " << i << " is '" << name
                                     << "', base checkpoint has '"
@@ -863,14 +687,7 @@ std::string decode(const std::string& delta_blob,
                     "delta tensor '" << name << "' has " << numel
                                      << " elements, base has "
                                      << base_params[i].value.numel());
-    CLEAR_CHECK_MSG(vpos + payload_len <= values.size(),
-                    "delta.values truncated: tensor '"
-                        << name << "' needs " << payload_len
-                        << " bytes at offset " << vpos << ", block has "
-                        << values.size());
-    const std::string_view payload = values.substr(
-        vpos, static_cast<std::size_t>(payload_len));
-    vpos += static_cast<std::size_t>(payload_len);
+    const std::string_view payload = values.bytes(payload_len);
     NamedTensor nt;
     nt.name = name;
     nt.value = Tensor(base_params[i].value.shape(),
@@ -879,19 +696,15 @@ std::string decode(const std::string& delta_blob,
                                     static_cast<std::size_t>(numel), name));
     out.push_back(std::move(nt));
   }
-  CLEAR_CHECK_MSG(tpos == tensors.size(),
-                  "delta.tensors has " << (tensors.size() - tpos)
-                                       << " trailing bytes");
-  CLEAR_CHECK_MSG(vpos == values.size(),
-                  "delta.values has " << (values.size() - vpos)
-                                      << " trailing bytes");
+  tensors.expect_end();
+  values.expect_end();
 
-  std::string full = serialize_v2(out);
+  std::string full = nn::encode_checkpoint(out);
   CLEAR_CHECK_MSG(
       full.size() == meta.full_bytes &&
-          blob_fingerprint(full) == meta.full_crc,
+          nn::checkpoint_digest(full) == meta.full_crc,
       "delta reconstruction failed its integrity check: rebuilt "
-          << full.size() << " bytes, crc " << blob_fingerprint(full)
+          << full.size() << " bytes, crc " << nn::checkpoint_digest(full)
           << "; delta.meta recorded " << meta.full_bytes << " bytes, crc "
           << meta.full_crc);
   return full;

@@ -64,7 +64,7 @@ struct EncodeStats {
   std::size_t full_bytes = 0;   ///< Input checkpoint size.
 };
 
-/// Encode `ft_blob` (an nn checkpoint, v1 or v2) as a delta artifact
+/// Encode `ft_blob` (an nn checkpoint blob) as a delta artifact
 /// against `base_blob`. Returns nullopt — "persist the full blob" — when
 /// the models do not line up tensor-for-tensor, the delta would not be
 /// smaller than the full checkpoint, or the mandatory self round-trip does
@@ -76,7 +76,7 @@ std::optional<std::string> encode(const std::string& base_blob,
                                   EncodeStats* stats = nullptr);
 
 /// Magic sniff: true when `blob` is a CLRART01 container holding a delta
-/// checkpoint (a full/legacy nn checkpoint blob returns false).
+/// checkpoint (a full nn checkpoint blob returns false).
 bool is_delta(const std::string& blob);
 
 /// Base reference of a delta blob (throws clear::Error when `blob` is not

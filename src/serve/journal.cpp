@@ -6,11 +6,10 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "tensor/serialize.hpp"
@@ -23,106 +22,76 @@ namespace {
 
 // 8-byte file magics: a 6-byte prefix ("CLRWAL" for the log, "CLRSNP" for
 // snapshots) plus two ASCII digits echoing the on-disk format version.
-// v2 ("CLRWAL02"/"CLRSNP02") added the online-adaptation record kinds
-// and session/counter fields; v1 files are still read (their drift fields
-// default to zero), while a v1 reader refuses a v2 file wholesale at the
-// header — which is exactly how pre-v2 binaries fail cleanly on the new
-// record kinds.
+// Readers accept exactly kJournalFormatVersion and refuse any other version
+// at the header with an error that names it.
 constexpr char kJournalMagicPrefix[6] = {'C', 'L', 'R', 'W', 'A', 'L'};
 constexpr char kSnapshotMagicPrefix[6] = {'C', 'L', 'R', 'S', 'N', 'P'};
 constexpr std::uint64_t kFormatVersion = kJournalFormatVersion;
-constexpr std::uint64_t kMinFormatVersion = kJournalMinFormatVersion;
 /// Sanity cap on one record's payload: a labelled 17x6 map is ~500 bytes,
 /// so anything near this is a corrupt length field, not a real record.
 constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+void put_point(bytes::Writer& w, const cluster::Point& p) {
+  w.u64(p.size());
+  for (const double v : p) w.f64(v);
 }
 
-std::uint32_t get_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void write_point(std::ostream& os, const cluster::Point& p) {
-  io::write_u64(os, p.size());
-  for (const double v : p) io::write_f64(os, v);
-}
-
-cluster::Point read_point(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 20), "implausible point size in journal");
-  cluster::Point p;
-  p.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) p.push_back(io::read_f64(is));
+cluster::Point get_point(bytes::Reader& r) {
+  cluster::Point p(r.count(r.u64(), sizeof(double)));
+  for (double& v : p) v = r.f64();
   return p;
 }
 
-SessionState read_state(std::istream& is, std::uint64_t version) {
-  const std::uint64_t raw = io::read_u64(is);
-  // v1 predates the adaptation states, so 6/7 in a v1 file is corruption.
-  const std::uint64_t bound = static_cast<std::uint64_t>(
-      version >= 2 ? SessionState::kShadowing : SessionState::kDegraded);
-  CLEAR_CHECK_MSG(raw <= bound, "invalid session state " << raw
-                                                         << " in a v"
-                                                         << version
-                                                         << " file");
+SessionState get_state(bytes::Reader& r) {
+  const std::uint64_t raw = r.u64();
+  CLEAR_CHECK_MSG(raw <= static_cast<std::uint64_t>(SessionState::kShadowing),
+                  "invalid session state " << raw);
   return static_cast<SessionState>(raw);
 }
 
-std::string encode_record(const JournalRecord& r) {
-  std::ostringstream os(std::ios::binary);
-  io::write_u64(os, r.seq);
-  io::write_u64(os, static_cast<std::uint64_t>(r.type));
-  io::write_u64(os, r.user_id);
+void put_record(bytes::Writer& w, const JournalRecord& r) {
+  w.u64(r.seq);
+  w.u64(static_cast<std::uint64_t>(r.type));
+  w.u64(r.user_id);
   switch (r.type) {
     case RecordType::kRequest:
-      io::write_u64(os, r.time_us);
-      io::write_f64(os, r.quality);
+      w.u64(r.time_us);
+      w.f64(r.quality);
       break;
     case RecordType::kObservation:
-      write_point(os, r.point);
+      put_point(w, r.point);
       break;
     case RecordType::kAssign:
-      io::write_u64(os, r.cluster);
+      w.u64(r.cluster);
       break;
     case RecordType::kLabelled:
-      io::write_u64(os,
-                    static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                        r.label)));
-      io::write_tensor(os, r.map);
+      w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.label)));
+      io::put_tensor(w, r.map);
       break;
     case RecordType::kFinetune:
-      io::write_u64(os, r.ckpt_bytes);
-      io::write_u64(os, r.ckpt_crc);
+      w.u64(r.ckpt_bytes);
+      w.u64(r.ckpt_crc);
       break;
     case RecordType::kFinetuneAbort:
       break;
     case RecordType::kShed:
-      io::write_u64(os, (r.shed_charged ? 1u : 0u) |
-                            (r.shed_unadmitted ? 2u : 0u));
+      w.u64((r.shed_charged ? 1u : 0u) | (r.shed_unadmitted ? 2u : 0u));
       break;
     case RecordType::kPredict:
-      io::write_u64(os, r.time_us);
+      w.u64(r.time_us);
       break;
     case RecordType::kDriftTick:
-      io::write_u64(os, r.drifting ? 1u : 0u);
+      w.u64(r.drifting ? 1u : 0u);
       break;
     case RecordType::kReassessObs:
-      write_point(os, r.point);
+      put_point(w, r.point);
       break;
     case RecordType::kReassign:
     case RecordType::kPromote:
-      io::write_u64(os, r.cluster);
+      w.u64(r.cluster);
       break;
     case RecordType::kShadowTick:
-      io::write_u64(os, r.shadow_won ? 1u : 0u);
+      w.u64(r.shadow_won ? 1u : 0u);
       break;
     case RecordType::kDemote:
       break;
@@ -130,208 +99,185 @@ std::string encode_record(const JournalRecord& r) {
       CLEAR_CHECK_MSG(false, "kUnknown is a read-side sentinel, never written");
       break;
   }
-  return os.str();
 }
 
-JournalRecord decode_record(const std::string& payload) {
-  std::istringstream is(payload, std::ios::binary);
-  JournalRecord r;
-  r.seq = io::read_u64(is);
-  const std::uint64_t type = io::read_u64(is);
+JournalRecord decode_record(std::string_view payload) {
+  bytes::Reader r(payload, "journal record");
+  JournalRecord rec;
+  rec.seq = r.u64();
+  const std::uint64_t type = r.u64();
   if (type < 1 || type > static_cast<std::uint64_t>(RecordType::kDemote)) {
     // A CRC-intact frame of a kind this reader does not know (written by a
     // newer format). The (seq, type, user_id) prefix is stable across
     // versions, so the session it names can be quarantined — keep reading
     // rather than distrusting every record after it.
-    r.type = RecordType::kUnknown;
-    r.raw_kind = type;
-    r.user_id = io::read_u64(is);
-    CLEAR_CHECK_MSG(is.good(), "truncated journal record payload");
-    return r;
+    rec.type = RecordType::kUnknown;
+    rec.raw_kind = type;
+    rec.user_id = r.u64();
+    return rec;
   }
-  r.type = static_cast<RecordType>(type);
-  r.user_id = io::read_u64(is);
-  switch (r.type) {
+  rec.type = static_cast<RecordType>(type);
+  rec.user_id = r.u64();
+  switch (rec.type) {
     case RecordType::kRequest:
-      r.time_us = io::read_u64(is);
-      r.quality = io::read_f64(is);
+      rec.time_us = r.u64();
+      rec.quality = r.f64();
       break;
     case RecordType::kObservation:
-      r.point = read_point(is);
+      rec.point = get_point(r);
       break;
     case RecordType::kAssign:
-      r.cluster = io::read_u64(is);
+      rec.cluster = r.u64();
       break;
     case RecordType::kLabelled:
-      r.label = static_cast<std::int32_t>(
-          static_cast<std::int64_t>(io::read_u64(is)));
-      r.map = io::read_tensor(is);
+      rec.label = static_cast<std::int32_t>(static_cast<std::int64_t>(r.u64()));
+      rec.map = io::get_tensor(r);
       break;
     case RecordType::kFinetune:
-      r.ckpt_bytes = io::read_u64(is);
-      r.ckpt_crc = static_cast<std::uint32_t>(io::read_u64(is));
+      rec.ckpt_bytes = r.u64();
+      rec.ckpt_crc = static_cast<std::uint32_t>(r.u64());
       break;
     case RecordType::kFinetuneAbort:
       break;
     case RecordType::kShed: {
-      const std::uint64_t flags = io::read_u64(is);
-      r.shed_charged = (flags & 1) != 0;
-      r.shed_unadmitted = (flags & 2) != 0;
+      const std::uint64_t flags = r.u64();
+      rec.shed_charged = (flags & 1) != 0;
+      rec.shed_unadmitted = (flags & 2) != 0;
       break;
     }
     case RecordType::kPredict:
-      r.time_us = io::read_u64(is);
+      rec.time_us = r.u64();
       break;
     case RecordType::kDriftTick:
-      r.drifting = io::read_u64(is) != 0;
+      rec.drifting = r.u64() != 0;
       break;
     case RecordType::kReassessObs:
-      r.point = read_point(is);
+      rec.point = get_point(r);
       break;
     case RecordType::kReassign:
     case RecordType::kPromote:
-      r.cluster = io::read_u64(is);
+      rec.cluster = r.u64();
       break;
     case RecordType::kShadowTick:
-      r.shadow_won = io::read_u64(is) != 0;
+      rec.shadow_won = r.u64() != 0;
       break;
     case RecordType::kDemote:
       break;
     case RecordType::kUnknown:
       break;  // Handled above; unreachable.
   }
-  CLEAR_CHECK_MSG(is.good(), "truncated journal record payload");
-  return r;
+  return rec;
 }
 
-void write_image(std::ostream& os, const SessionImage& img) {
-  io::write_u64(os, img.user_id);
-  io::write_u64(os, static_cast<std::uint64_t>(img.state));
-  io::write_u64(os, static_cast<std::uint64_t>(img.saved_state));
-  io::write_u64(os, img.bad_streak);
-  io::write_u64(os, img.good_streak);
-  io::write_u64(os, img.cluster);
-  io::write_u64(os, img.observations.size());
-  for (const cluster::Point& p : img.observations) write_point(os, p);
-  io::write_u64(os, img.labelled.size());
+void put_image(bytes::Writer& w, const SessionImage& img) {
+  w.u64(img.user_id);
+  w.u64(static_cast<std::uint64_t>(img.state));
+  w.u64(static_cast<std::uint64_t>(img.saved_state));
+  w.u64(img.bad_streak);
+  w.u64(img.good_streak);
+  w.u64(img.cluster);
+  w.u64(img.observations.size());
+  for (const cluster::Point& p : img.observations) put_point(w, p);
+  w.u64(img.labelled.size());
   for (const LabelledMap& m : img.labelled) {
-    io::write_u64(os, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(m.label)));
-    io::write_tensor(os, m.map);
+    w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(m.label)));
+    io::put_tensor(w, m.map);
   }
-  io::write_u64(os, img.finetune_enabled ? 1 : 0);
-  io::write_u64(os, img.requests);
-  io::write_u64(os, img.shed);
-  io::write_u64(os, img.predictions);
-  io::write_u64(os, img.first_arrival_us);
-  io::write_u64(os, img.first_prediction_us.has_value() ? 1 : 0);
-  io::write_u64(os, img.first_prediction_us.value_or(0));
-  io::write_u64(os, img.has_personal ? 1 : 0);
-  // v2: online-adaptation bookkeeping.
-  io::write_u64(os, img.drift_streak);
-  io::write_u64(os, static_cast<std::uint64_t>(img.reassess_from));
-  io::write_u64(os, img.candidate_cluster);
-  io::write_u64(os, img.shadow_wins);
-  io::write_u64(os, img.shadow_seen);
+  w.u64(img.finetune_enabled ? 1 : 0);
+  w.u64(img.requests);
+  w.u64(img.shed);
+  w.u64(img.predictions);
+  w.u64(img.first_arrival_us);
+  w.u64(img.first_prediction_us.has_value() ? 1 : 0);
+  w.u64(img.first_prediction_us.value_or(0));
+  w.u64(img.has_personal ? 1 : 0);
+  w.u64(img.drift_streak);
+  w.u64(static_cast<std::uint64_t>(img.reassess_from));
+  w.u64(img.candidate_cluster);
+  w.u64(img.shadow_wins);
+  w.u64(img.shadow_seen);
 }
 
-SessionImage read_image(std::istream& is, std::uint64_t version) {
+SessionImage get_image(bytes::Reader& r) {
   SessionImage img;
-  img.user_id = io::read_u64(is);
-  img.state = read_state(is, version);
-  img.saved_state = read_state(is, version);
-  img.bad_streak = io::read_u64(is);
-  img.good_streak = io::read_u64(is);
-  img.cluster = io::read_u64(is);
-  const std::uint64_t n_obs = io::read_u64(is);
-  CLEAR_CHECK_MSG(n_obs < (1u << 20), "implausible observation count");
-  img.observations.reserve(n_obs);
-  for (std::uint64_t i = 0; i < n_obs; ++i)
-    img.observations.push_back(read_point(is));
-  const std::uint64_t n_lab = io::read_u64(is);
-  CLEAR_CHECK_MSG(n_lab < (1u << 20), "implausible labelled-map count");
-  img.labelled.reserve(n_lab);
-  for (std::uint64_t i = 0; i < n_lab; ++i) {
-    LabelledMap m;
-    m.label = static_cast<int>(static_cast<std::int64_t>(io::read_u64(is)));
-    m.map = io::read_tensor(is);
-    img.labelled.push_back(std::move(m));
+  img.user_id = r.u64();
+  img.state = get_state(r);
+  img.saved_state = get_state(r);
+  img.bad_streak = r.u64();
+  img.good_streak = r.u64();
+  img.cluster = r.u64();
+  img.observations.resize(r.count(r.u64(), sizeof(std::uint64_t)));
+  for (cluster::Point& p : img.observations) p = get_point(r);
+  // A labelled map is at least its label plus a CTSR header.
+  img.labelled.resize(r.count(r.u64(), 8 + 16));
+  for (LabelledMap& m : img.labelled) {
+    m.label = static_cast<int>(static_cast<std::int64_t>(r.u64()));
+    m.map = io::get_tensor(r);
   }
-  img.finetune_enabled = io::read_u64(is) != 0;
-  img.requests = io::read_u64(is);
-  img.shed = io::read_u64(is);
-  img.predictions = io::read_u64(is);
-  img.first_arrival_us = io::read_u64(is);
-  const bool has_first_pred = io::read_u64(is) != 0;
-  const std::uint64_t first_pred = io::read_u64(is);
+  img.finetune_enabled = r.u64() != 0;
+  img.requests = r.u64();
+  img.shed = r.u64();
+  img.predictions = r.u64();
+  img.first_arrival_us = r.u64();
+  const bool has_first_pred = r.u64() != 0;
+  const std::uint64_t first_pred = r.u64();
   if (has_first_pred) img.first_prediction_us = first_pred;
-  img.has_personal = io::read_u64(is) != 0;
-  if (version >= 2) {
-    img.drift_streak = io::read_u64(is);
-    img.reassess_from = read_state(is, version);
-    img.candidate_cluster = io::read_u64(is);
-    img.shadow_wins = io::read_u64(is);
-    img.shadow_seen = io::read_u64(is);
-  }
+  img.has_personal = r.u64() != 0;
+  img.drift_streak = r.u64();
+  img.reassess_from = get_state(r);
+  img.candidate_cluster = r.u64();
+  img.shadow_wins = r.u64();
+  img.shadow_seen = r.u64();
   return img;
 }
 
-std::string encode_snapshot(const SnapshotData& data) {
-  std::ostringstream os(std::ios::binary);
-  io::write_u64(os, data.last_seq);
-  io::write_u64(os, data.last_arrival_us);
-  io::write_u64(os, data.counters.requests);
-  io::write_u64(os, data.counters.ok);
-  io::write_u64(os, data.counters.shed);
-  io::write_u64(os, data.counters.assignments);
-  io::write_u64(os, data.counters.finetunes);
-  io::write_u64(os, data.counters.finetune_failures);
-  io::write_u64(os, data.counters.sanitized);
-  io::write_u64(os, data.counters.degraded);
-  io::write_u64(os, data.counters.recovered);
-  // v2: online-adaptation counters.
-  io::write_u64(os, data.counters.drift_ticks);
-  io::write_u64(os, data.counters.drift_detected);
-  io::write_u64(os, data.counters.reassessments);
-  io::write_u64(os, data.counters.drift_false_alarms);
-  io::write_u64(os, data.counters.shadow_ticks);
-  io::write_u64(os, data.counters.promotions);
-  io::write_u64(os, data.counters.demotions);
-  io::write_u64(os, data.sessions.size());
-  for (const SessionImage& img : data.sessions) write_image(os, img);
-  return os.str();
+void put_snapshot(bytes::Writer& w, const SnapshotData& data) {
+  w.u64(data.last_seq);
+  w.u64(data.last_arrival_us);
+  w.u64(data.counters.requests);
+  w.u64(data.counters.ok);
+  w.u64(data.counters.shed);
+  w.u64(data.counters.assignments);
+  w.u64(data.counters.finetunes);
+  w.u64(data.counters.finetune_failures);
+  w.u64(data.counters.sanitized);
+  w.u64(data.counters.degraded);
+  w.u64(data.counters.recovered);
+  w.u64(data.counters.drift_ticks);
+  w.u64(data.counters.drift_detected);
+  w.u64(data.counters.reassessments);
+  w.u64(data.counters.drift_false_alarms);
+  w.u64(data.counters.shadow_ticks);
+  w.u64(data.counters.promotions);
+  w.u64(data.counters.demotions);
+  w.u64(data.sessions.size());
+  for (const SessionImage& img : data.sessions) put_image(w, img);
 }
 
-SnapshotData decode_snapshot(const std::string& payload,
-                             std::uint64_t version) {
-  std::istringstream is(payload, std::ios::binary);
+SnapshotData decode_snapshot(std::string_view payload) {
+  bytes::Reader r(payload, "snapshot payload");
   SnapshotData data;
-  data.last_seq = io::read_u64(is);
-  data.last_arrival_us = io::read_u64(is);
-  data.counters.requests = io::read_u64(is);
-  data.counters.ok = io::read_u64(is);
-  data.counters.shed = io::read_u64(is);
-  data.counters.assignments = io::read_u64(is);
-  data.counters.finetunes = io::read_u64(is);
-  data.counters.finetune_failures = io::read_u64(is);
-  data.counters.sanitized = io::read_u64(is);
-  data.counters.degraded = io::read_u64(is);
-  data.counters.recovered = io::read_u64(is);
-  if (version >= 2) {
-    data.counters.drift_ticks = io::read_u64(is);
-    data.counters.drift_detected = io::read_u64(is);
-    data.counters.reassessments = io::read_u64(is);
-    data.counters.drift_false_alarms = io::read_u64(is);
-    data.counters.shadow_ticks = io::read_u64(is);
-    data.counters.promotions = io::read_u64(is);
-    data.counters.demotions = io::read_u64(is);
-  }
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 24), "implausible snapshot session count");
-  data.sessions.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    data.sessions.push_back(read_image(is, version));
-  CLEAR_CHECK_MSG(is.good(), "truncated snapshot payload");
+  data.last_seq = r.u64();
+  data.last_arrival_us = r.u64();
+  data.counters.requests = r.u64();
+  data.counters.ok = r.u64();
+  data.counters.shed = r.u64();
+  data.counters.assignments = r.u64();
+  data.counters.finetunes = r.u64();
+  data.counters.finetune_failures = r.u64();
+  data.counters.sanitized = r.u64();
+  data.counters.degraded = r.u64();
+  data.counters.recovered = r.u64();
+  data.counters.drift_ticks = r.u64();
+  data.counters.drift_detected = r.u64();
+  data.counters.reassessments = r.u64();
+  data.counters.drift_false_alarms = r.u64();
+  data.counters.shadow_ticks = r.u64();
+  data.counters.promotions = r.u64();
+  data.counters.demotions = r.u64();
+  // A session image is at least its 21 fixed u64 fields.
+  data.sessions.resize(r.count(r.u64(), 21 * sizeof(std::uint64_t)));
+  for (SessionImage& img : data.sessions) img = get_image(r);
   return data;
 }
 
@@ -349,54 +295,6 @@ void write_all(int fd, const char* data, std::size_t n, const char* what) {
   }
 }
 
-/// fsync a path by reopening it (the snapshot/checkpoint writers use
-/// fstreams, which expose no fd).
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  CLEAR_CHECK_MSG(fd >= 0,
-                  "cannot open " << path << " for fsync: "
-                                 << std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  CLEAR_CHECK_MSG(rc == 0, "fsync " << path << ": " << std::strerror(errno));
-}
-
-/// Temp-then-rename atomic write shared by the snapshot and user-checkpoint
-/// stores; the rename is the commit point, exactly like the artifact writer.
-void atomic_write_file(const std::string& path, const std::string& bytes,
-                       bool do_fsync, const char* what) {
-  const std::string tmp = path + ".tmp";
-  fault::maybe_fail_io("snapshot write");
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot write " << tmp << " (" << what << ")");
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    CLEAR_CHECK_MSG(os.good(), "IO error writing " << tmp);
-  }
-  if (do_fsync) {
-    fault::maybe_fail_io("snapshot fsync");
-    fsync_path(tmp);
-  }
-  fault::maybe_fail_io("snapshot rename");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec, "cannot commit " << path << ": " << ec.message());
-  if (do_fsync) {
-    // The rename only becomes durable against machine crashes once the
-    // directory entry itself is on disk.
-    const std::string parent = fs::path(path).parent_path().string();
-    fsync_path(parent.empty() ? "." : parent);
-  }
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return {};
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-}
-
 /// The 8-byte magic for a format version: 6-byte prefix + 2 ASCII digits.
 std::string magic_bytes(const char (&prefix)[6], std::uint64_t version) {
   std::string m(prefix, sizeof(prefix));
@@ -406,10 +304,20 @@ std::string magic_bytes(const char (&prefix)[6], std::uint64_t version) {
 }
 
 std::string header_bytes(std::uint64_t version) {
-  std::string h = magic_bytes(kJournalMagicPrefix, version);
-  put_u32(h, static_cast<std::uint32_t>(version));
-  put_u32(h, 0);  // Reserved; keeps the header at 16 bytes.
-  return h;
+  bytes::Writer h;
+  h.raw(magic_bytes(kJournalMagicPrefix, version));
+  h.u32(static_cast<std::uint32_t>(version));
+  h.u32(0);  // Reserved; keeps the header at 16 bytes.
+  return h.take();
+}
+
+/// The refusal for a file of another format version.
+std::string unsupported_version(const std::string& file,
+                                std::uint64_t version) {
+  std::ostringstream os;
+  os << file << " has unsupported format version " << version
+     << " (this reader supports v" << kFormatVersion << ")";
+  return os.str();
 }
 
 }  // namespace
@@ -487,13 +395,12 @@ std::size_t Journal::append(JournalRecord record) {
   CLEAR_CHECK_MSG(fd_ >= 0, "journal is not open");
   fault::maybe_fail_journal_io("journal append");
   record.seq = next_seq_;
-  const std::string payload = encode_record(record);
-  CLEAR_CHECK_MSG(payload.size() < kMaxRecordBytes, "journal record too big");
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  frame += payload;
+  bytes::Writer w;
+  const std::size_t at = bytes::begin_record(w);
+  put_record(w, record);
+  CLEAR_CHECK_MSG(w.size() - at < kMaxRecordBytes, "journal record too big");
+  bytes::end_record(w, at);
+  const std::string frame = w.take();
 
   const std::size_t cap = fault::journal_torn_write_cap();
   if (cap < frame.size()) {
@@ -530,46 +437,44 @@ bool Journal::due_for_snapshot() const {
 
 void write_snapshot_file(const std::string& directory,
                          const SnapshotData& data, bool do_fsync) {
-  const std::string payload = encode_snapshot(data);
-  std::string bytes = magic_bytes(kSnapshotMagicPrefix, kFormatVersion);
-  put_u32(bytes, static_cast<std::uint32_t>(kFormatVersion));
-  put_u32(bytes, static_cast<std::uint32_t>(payload.size()));
-  put_u32(bytes, crc32(payload));
-  bytes += payload;
-  atomic_write_file(snapshot_path(directory), bytes, do_fsync, "snapshot");
+  bytes::Writer w;
+  w.raw(magic_bytes(kSnapshotMagicPrefix, kFormatVersion));
+  w.u32(static_cast<std::uint32_t>(kFormatVersion));
+  const std::size_t at = bytes::begin_record(w);
+  put_snapshot(w, data);
+  bytes::end_record(w, at);
+  bytes::write_file_atomic(snapshot_path(directory), w.take(), "snapshot",
+                           do_fsync);
 }
 
 std::optional<SnapshotData> read_snapshot(const std::string& directory) {
   const std::string path = snapshot_path(directory);
   std::error_code ec;
   if (!fs::exists(path, ec)) return std::nullopt;
-  const std::string bytes = read_file_bytes(path);
+  const std::string file = bytes::read_file(path);
   constexpr std::size_t kMagicLen = 8;
-  CLEAR_CHECK_MSG(bytes.size() >= kMagicLen + 12,
+  CLEAR_CHECK_MSG(file.size() >= kMagicLen + 12,
                   "snapshot " << path << " is truncated");
-  CLEAR_CHECK_MSG(std::memcmp(bytes.data(), kSnapshotMagicPrefix,
+  CLEAR_CHECK_MSG(std::memcmp(file.data(), kSnapshotMagicPrefix,
                               sizeof(kSnapshotMagicPrefix)) == 0,
                   "snapshot " << path << " has a bad magic");
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(bytes.data()) + kMagicLen;
-  const std::uint32_t version = get_u32(p);
-  CLEAR_CHECK_MSG(version >= kMinFormatVersion && version <= kFormatVersion,
-                  "snapshot " << path << " has unsupported format version "
-                              << version << " (this reader supports v"
-                              << kMinFormatVersion << "-v" << kFormatVersion
-                              << ")");
+  const std::uint32_t version =
+      bytes::Reader(std::string_view(file).substr(kMagicLen)).u32();
+  CLEAR_CHECK_MSG(version == kFormatVersion,
+                  unsupported_version("snapshot " + path, version));
   CLEAR_CHECK_MSG(
-      bytes.compare(0, kMagicLen,
-                    magic_bytes(kSnapshotMagicPrefix, version)) == 0,
+      file.compare(0, kMagicLen, magic_bytes(kSnapshotMagicPrefix, version)) ==
+          0,
       "snapshot " << path << " has a bad magic");
-  const std::uint32_t len = get_u32(p + 4);
-  const std::uint32_t crc = get_u32(p + 8);
-  CLEAR_CHECK_MSG(bytes.size() == kMagicLen + 12 + len,
+  const std::string_view framed = std::string_view(file).substr(kMagicLen + 4);
+  const bytes::Record rec =
+      bytes::read_record(framed, std::numeric_limits<std::uint32_t>::max());
+  CLEAR_CHECK_MSG(rec.status != bytes::RecordStatus::kShort &&
+                      8 + std::size_t{rec.len} == framed.size(),
                   "snapshot " << path << " length mismatch");
-  const std::string payload = bytes.substr(kMagicLen + 12);
-  CLEAR_CHECK_MSG(crc32(payload) == crc,
+  CLEAR_CHECK_MSG(rec.status == bytes::RecordStatus::kOk,
                   "snapshot " << path << " failed its CRC check");
-  return decode_snapshot(payload, version);
+  return decode_snapshot(rec.payload);
 }
 
 JournalReadResult read_journal(const std::string& directory) {
@@ -580,50 +485,45 @@ JournalReadResult read_journal(const std::string& directory) {
     result.missing = true;
     return result;
   }
-  const std::string bytes = read_file_bytes(path);
-  const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::string file = bytes::read_file(path);
   constexpr std::size_t kHeaderLen = 16;
-  if (bytes.size() < kHeaderLen ||
-      std::memcmp(bytes.data(), kJournalMagicPrefix,
+  if (file.size() < kHeaderLen ||
+      std::memcmp(file.data(), kJournalMagicPrefix,
                   sizeof(kJournalMagicPrefix)) != 0) {
     // A bad header means nothing in the file can be trusted.
-    result.tail_bytes_dropped = bytes.size();
+    result.tail_bytes_dropped = file.size();
     return result;
   }
-  const std::uint32_t version = get_u32(raw + 8);
-  if (version < kMinFormatVersion || version > kFormatVersion) {
-    // A future format: the framing itself may have changed, so the whole
-    // file is untrusted — the versioned refusal a v1 reader gives v2 logs.
-    std::ostringstream os;
-    os << "journal.log has unsupported format version " << version
-       << " (this reader supports v" << kMinFormatVersion << "-v"
-       << kFormatVersion << "); refusing the whole file";
-    result.header_error = os.str();
-    result.tail_bytes_dropped = bytes.size();
+  const std::uint32_t version =
+      bytes::Reader(std::string_view(file).substr(8)).u32();
+  if (version != kFormatVersion) {
+    // Another format: the framing itself may differ, so the whole file is
+    // untrusted.
+    result.header_error =
+        unsupported_version("journal.log", version) + "; refusing the whole file";
+    result.tail_bytes_dropped = file.size();
     return result;
   }
-  if (bytes.compare(0, 16, header_bytes(version)) != 0) {
-    result.tail_bytes_dropped = bytes.size();  // Magic/version echo mismatch.
+  if (file.compare(0, kHeaderLen, header_bytes(version)) != 0) {
+    result.tail_bytes_dropped = file.size();  // Magic/version echo mismatch.
     return result;
   }
   std::size_t off = kHeaderLen;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < 8) break;  // Torn frame header.
-    const std::uint32_t len = get_u32(raw + off);
-    const std::uint32_t crc = get_u32(raw + off + 4);
-    if (len >= kMaxRecordBytes || bytes.size() - off - 8 < len) break;
-    const std::string payload = bytes.substr(off + 8, len);
-    if (crc32(payload) != crc) break;
+  while (off < file.size()) {
+    // A torn or oversized frame, or a CRC mismatch, ends the trusted prefix.
+    const bytes::Record rec = bytes::read_record(
+        std::string_view(file).substr(off), kMaxRecordBytes - 1);
+    if (rec.status != bytes::RecordStatus::kOk) break;
     try {
-      JournalRecord rec = decode_record(payload);
-      rec.file_offset = off;
-      result.records.push_back(std::move(rec));
+      JournalRecord decoded = decode_record(rec.payload);
+      decoded.file_offset = off;
+      result.records.push_back(std::move(decoded));
     } catch (const Error&) {
       break;  // Intact CRC but undecodable: treat like any corrupt tail.
     }
-    off += 8 + len;
+    off += 8 + rec.len;
   }
-  result.tail_bytes_dropped = bytes.size() - off;
+  result.tail_bytes_dropped = file.size() - off;
   return result;
 }
 
@@ -631,27 +531,25 @@ void write_user_checkpoint(const std::string& directory,
                            std::uint64_t user_id, const std::string& blob,
                            bool do_fsync) {
   fault::maybe_fail_journal_io("checkpoint store write");
-  atomic_write_file(user_checkpoint_path(directory, user_id), blob, do_fsync,
-                    "user checkpoint");
+  bytes::write_file_atomic(user_checkpoint_path(directory, user_id), blob,
+                           "user checkpoint", do_fsync);
 }
 
 std::string read_user_checkpoint(const std::string& directory,
                                  std::uint64_t user_id) {
-  return read_file_bytes(user_checkpoint_path(directory, user_id));
+  return bytes::read_file(user_checkpoint_path(directory, user_id));
 }
 
 std::string encode_session_image(const SessionImage& image) {
-  std::ostringstream os(std::ios::binary);
-  write_image(os, image);
-  return os.str();
+  bytes::Writer w;
+  put_image(w, image);
+  return w.take();
 }
 
-SessionImage decode_session_image(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  SessionImage img = read_image(is, kFormatVersion);
-  CLEAR_CHECK_MSG(is.good(), "truncated session image");
-  is.peek();
-  CLEAR_CHECK_MSG(is.eof(), "trailing bytes after session image");
+SessionImage decode_session_image(const std::string& image) {
+  bytes::Reader r(image, "session image");
+  SessionImage img = get_image(r);
+  r.expect_end();
   return img;
 }
 

@@ -17,7 +17,7 @@
 //   journal.log       append-only WAL: 16-byte header (magic "CLRWAL02" +
 //                     version), then CRC-framed records
 //                     `[u32 len][u32 crc][payload]` with monotonically
-//                     increasing sequence numbers. v1 logs are still read.
+//                     increasing sequence numbers.
 //   snapshot.snap     atomic (temp + rename) image of the whole session
 //                     table, CRC-checked, stamped with the last journal
 //                     sequence number it folds in.
@@ -44,11 +44,10 @@
 
 namespace clear::serve {
 
-/// On-disk format version this build writes ("CLRWAL02"/"CLRSNP02"); readers
-/// accept kJournalMinFormatVersion through this and refuse anything newer at
-/// the header (see JournalReadResult::header_error).
+/// On-disk format version this build writes ("CLRWAL02"/"CLRSNP02"), and
+/// the only one its readers accept: any other is refused at the header
+/// (see JournalReadResult::header_error).
 inline constexpr std::uint64_t kJournalFormatVersion = 2;
-inline constexpr std::uint64_t kJournalMinFormatVersion = 1;
 
 struct JournalConfig {
   /// Journal directory; empty disables journaling entirely.
@@ -127,7 +126,7 @@ struct SnapshotCounters {
   std::uint64_t sanitized = 0;
   std::uint64_t degraded = 0;
   std::uint64_t recovered = 0;
-  // Online adaptation (format v2; zero when read from a v1 snapshot).
+  // Online adaptation.
   std::uint64_t drift_ticks = 0;
   std::uint64_t drift_detected = 0;
   std::uint64_t reassessments = 0;
@@ -213,24 +212,23 @@ struct JournalReadResult {
   /// trusted.
   std::uint64_t tail_bytes_dropped = 0;
   bool missing = false;  ///< No journal.log at all (a fresh directory).
-  /// Non-empty when the header names a format version this reader does not
-  /// support (newer than v2): the whole file is untrusted, exactly how a
-  /// pre-v2 reader fails cleanly on a v2 journal. Distinct from kUnknown
-  /// records, which quarantine one session inside a *supported* version.
+  /// Non-empty when the header names a format version other than
+  /// kJournalFormatVersion: the whole file is untrusted. Distinct from
+  /// kUnknown records, which quarantine one session inside the supported
+  /// version.
   std::string header_error;
 };
 
 /// Read every intact record. Never throws for corruption — a damaged tail
 /// is an expected crash artifact, reported in the result instead. Accepts
-/// format v1 ("CLRWAL01") and v2 ("CLRWAL02") logs; CRC-intact records with
-/// an unrecognized kind come back as RecordType::kUnknown (raw_kind +
-/// file_offset set) and reading continues past them.
+/// "CLRWAL02" logs only; CRC-intact records with an unrecognized kind come
+/// back as RecordType::kUnknown (raw_kind + file_offset set) and reading
+/// continues past them.
 JournalReadResult read_journal(const std::string& directory);
 
 /// nullopt when snapshot.snap does not exist; throws clear::Error when it
 /// exists but fails validation (the caller decides whether to continue
-/// journal-only). Accepts format v1 ("CLRSNP01") and v2 ("CLRSNP02")
-/// snapshots; v1 leaves the adaptation counters/state zero/idle.
+/// journal-only). Accepts "CLRSNP02" snapshots only.
 std::optional<SnapshotData> read_snapshot(const std::string& directory);
 
 /// Atomically write a snapshot file without a Journal instance (recovery
@@ -238,8 +236,8 @@ std::optional<SnapshotData> read_snapshot(const std::string& directory);
 void write_snapshot_file(const std::string& directory,
                          const SnapshotData& data, bool do_fsync);
 
-/// Atomically write one user's fine-tuned checkpoint blob (nn CRC-v2
-/// format; the blob carries its own CRC).
+/// Atomically write one user's fine-tuned checkpoint blob (an nn
+/// checkpoint or delta artifact; either carries its own CRC).
 void write_user_checkpoint(const std::string& directory,
                            std::uint64_t user_id, const std::string& blob,
                            bool do_fsync);

@@ -50,7 +50,7 @@ enum class SessionState {
   kPersonalized,  ///< Serving the user's own fine-tuned engine.
   kDegraded,      ///< Sustained bad signal; parked on the general model.
   // New states append after kDegraded: the numeric values above are baked
-  // into v1 journals/snapshots and must never shift.
+  // into journals and snapshots and must never shift.
   kReassessing,   ///< Drift confirmed; re-running CA on a fresh buffer.
   kShadowing,     ///< Candidate cluster under shadow evaluation.
 };
@@ -106,7 +106,7 @@ struct SessionImage {
   std::optional<std::uint64_t> first_prediction_us;
   /// True when a personal checkpoint backs this session on disk.
   bool has_personal = false;
-  // -- Online adaptation (v2 snapshot fields; zero in v1 images) ------------
+  // -- Online adaptation ---------------------------------------------------
   std::uint64_t drift_streak = 0;  ///< Consecutive drifting windows seen.
   /// State the session re-enters if re-assessment turns out a false alarm
   /// or the shadow loses (ASSIGNED or PERSONALIZED).

@@ -1,8 +1,6 @@
 #include "tensor/serialize.hpp"
 
-#include <cstring>
-#include <istream>
-#include <ostream>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -11,72 +9,37 @@ namespace clear::io {
 namespace {
 constexpr std::uint32_t kMagic = 0x43545352;  // 'CTSR'
 constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void write_raw(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  CLEAR_CHECK_MSG(os.good(), "IO error writing tensor stream");
-}
-
-template <typename T>
-T read_raw(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  CLEAR_CHECK_MSG(is.good(), "IO error / truncated tensor stream");
-  return v;
-}
+constexpr std::size_t kMaxRank = 8;
 }  // namespace
 
-void write_tensor(std::ostream& os, const Tensor& t) {
-  write_raw(os, kMagic);
-  write_raw(os, kVersion);
-  write_raw<std::uint64_t>(os, t.rank());
-  for (std::size_t d = 0; d < t.rank(); ++d)
-    write_raw<std::uint64_t>(os, t.extent(d));
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  CLEAR_CHECK_MSG(os.good(), "IO error writing tensor data");
+void put_tensor(bytes::Writer& w, const Tensor& t) {
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.u64(t.rank());
+  for (std::size_t d = 0; d < t.rank(); ++d) w.u64(t.extent(d));
+  w.f32s(t.flat());
 }
 
-Tensor read_tensor(std::istream& is) {
-  const auto magic = read_raw<std::uint32_t>(is);
-  CLEAR_CHECK_MSG(magic == kMagic, "bad tensor magic");
-  const auto version = read_raw<std::uint32_t>(is);
-  CLEAR_CHECK_MSG(version == kVersion, "unsupported tensor version");
-  const auto rank = read_raw<std::uint64_t>(is);
-  CLEAR_CHECK_MSG(rank <= 8, "implausible tensor rank");
+Tensor get_tensor(bytes::Reader& r) {
+  CLEAR_CHECK_MSG(r.u32() == kMagic, "bad tensor magic");
+  CLEAR_CHECK_MSG(r.u32() == kVersion, "unsupported tensor version");
+  const std::size_t rank = r.count(r.u64(), sizeof(std::uint64_t));
+  CLEAR_CHECK_MSG(rank <= kMaxRank, "implausible tensor rank " << rank);
   std::vector<std::size_t> shape(rank);
-  std::size_t numel = rank == 0 ? 0 : 1;
-  for (auto& e : shape) {
-    e = static_cast<std::size_t>(read_raw<std::uint64_t>(is));
-    CLEAR_CHECK_MSG(e > 0 && e < (1ull << 32), "implausible tensor extent");
-    numel *= e;
+  // Saturating product: an overflowing shape fails the count check below
+  // like any other shape whose data is not there.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t numel = rank == 0 ? 0 : 1;
+  for (std::size_t& e : shape) {
+    const std::uint64_t extent = r.u64();
+    CLEAR_CHECK_MSG(extent > 0 && extent < (1ull << 32),
+                    "implausible tensor extent " << extent);
+    e = static_cast<std::size_t>(extent);
+    numel = extent > kMax / numel ? kMax : numel * extent;
   }
-  std::vector<float> data(numel);
-  is.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(numel * sizeof(float)));
-  CLEAR_CHECK_MSG(is.good(), "IO error / truncated tensor data");
+  std::vector<float> data(r.count(numel, sizeof(float)));
+  r.f32s(data);
   return Tensor(std::move(shape), std::move(data));
 }
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_raw<std::uint64_t>(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-  CLEAR_CHECK_MSG(os.good(), "IO error writing string");
-}
-
-std::string read_string(std::istream& is) {
-  const auto n = read_raw<std::uint64_t>(is);
-  CLEAR_CHECK_MSG(n < (1ull << 24), "implausible string length");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  CLEAR_CHECK_MSG(is.good(), "IO error / truncated string");
-  return s;
-}
-
-void write_u64(std::ostream& os, std::uint64_t v) { write_raw(os, v); }
-std::uint64_t read_u64(std::istream& is) { return read_raw<std::uint64_t>(is); }
-void write_f64(std::ostream& os, double v) { write_raw(os, v); }
-double read_f64(std::istream& is) { return read_raw<double>(is); }
 
 }  // namespace clear::io

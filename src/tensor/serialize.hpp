@@ -1,31 +1,20 @@
-// Binary tensor serialization, used by the checkpoint format (src/nn) and
-// the edge deployment artifacts (src/edge).
+// CTSR tensor codec: the per-tensor unit of checkpoints (src/nn), journal
+// records and snapshots (src/serve) and the dataset cache (src/wemac).
 //
-// Wire format (little-endian, matching every platform we target):
+// Layout (docs/FORMATS.md; integers little-endian via common/bytes):
 //   u32 magic 'CTSR', u32 version, u64 rank, u64 extents[rank], f32 data[...]
 #pragma once
 
-#include <iosfwd>
-#include <string>
-
+#include "common/bytes.hpp"
 #include "tensor/tensor.hpp"
 
 namespace clear::io {
 
-/// Write one tensor to a binary stream. Throws clear::Error on IO failure.
-void write_tensor(std::ostream& os, const Tensor& t);
+/// Append one tensor.
+void put_tensor(bytes::Writer& w, const Tensor& t);
 
-/// Read one tensor. Throws clear::Error on malformed input or IO failure.
-Tensor read_tensor(std::istream& is);
-
-/// Write a length-prefixed UTF-8 string.
-void write_string(std::ostream& os, const std::string& s);
-std::string read_string(std::istream& is);
-
-/// Scalar helpers for composite formats.
-void write_u64(std::ostream& os, std::uint64_t v);
-std::uint64_t read_u64(std::istream& is);
-void write_f64(std::ostream& os, double v);
-double read_f64(std::istream& is);
+/// Read one tensor. Throws clear::Error on a bad header or when the data
+/// the header announces is not there (checked before allocating).
+Tensor get_tensor(bytes::Reader& r);
 
 }  // namespace clear::io

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "features/feature_map.hpp"
@@ -165,10 +165,11 @@ WemacDataset generate_wemac(const WemacConfig& config,
 
 namespace {
 constexpr std::uint64_t kDatasetMagic = 0x57454D4143763101ull;  // "WEMACv1".
+constexpr std::size_t kProfileDoubles = 22;
 
-void write_profile(std::ostream& os, const VolunteerProfile& p) {
-  io::write_u64(os, p.volunteer_id);
-  io::write_u64(os, p.archetype_id);
+void put_profile(bytes::Writer& w, const VolunteerProfile& p) {
+  w.u64(p.volunteer_id);
+  w.u64(p.archetype_id);
   for (const double v :
        {p.hr_base, p.hr_fear_delta, p.hr_arousal_delta, p.hrv_sd,
         p.hrv_fear_scale, p.resp_rate, p.bvp_amp, p.bvp_amp_fear_scale,
@@ -176,14 +177,14 @@ void write_profile(std::ostream& os, const VolunteerProfile& p) {
         p.gsr_tonic, p.gsr_fear_slope, p.skt_base, p.skt_fear_drop,
         p.bvp_noise, p.gsr_noise, p.skt_noise, p.cardiac_gain, p.gsr_gain,
         p.skt_gain})
-    io::write_f64(os, v);
+    w.f64(v);
 }
 
-VolunteerProfile read_profile(std::istream& is) {
+VolunteerProfile get_profile(bytes::Reader& r) {
   VolunteerProfile p;
-  p.volunteer_id = io::read_u64(is);
-  p.archetype_id = io::read_u64(is);
-  double* fields[] = {
+  p.volunteer_id = r.u64();
+  p.archetype_id = r.u64();
+  double* fields[kProfileDoubles] = {
       &p.hr_base,         &p.hr_fear_delta,     &p.hr_arousal_delta,
       &p.hrv_sd,          &p.hrv_fear_scale,    &p.resp_rate,
       &p.bvp_amp,         &p.bvp_amp_fear_scale, &p.scr_rate_base,
@@ -192,75 +193,79 @@ VolunteerProfile read_profile(std::istream& is) {
       &p.skt_fear_drop,   &p.bvp_noise,         &p.gsr_noise,
       &p.skt_noise,       &p.cardiac_gain,      &p.gsr_gain,
       &p.skt_gain};
-  for (double* f : fields) *f = io::read_f64(is);
+  for (double* f : fields) *f = r.f64();
   return p;
 }
 }  // namespace
 
 void save_dataset(const WemacDataset& dataset, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  CLEAR_CHECK_MSG(os.good(), "cannot open dataset file for writing: " << path);
-  io::write_u64(os, kDatasetMagic);
-  io::write_string(os, dataset.config().cache_key());
+  bytes::Writer w;
+  w.u64(kDatasetMagic);
+  const std::string key = dataset.config().cache_key();
+  w.u64(key.size());
+  w.raw(key);
   const WemacConfig& c = dataset.config();
-  io::write_u64(os, c.seed);
-  io::write_u64(os, c.n_volunteers);
-  io::write_u64(os, c.trials_per_volunteer);
-  io::write_u64(os, c.windows_per_trial);
-  io::write_f64(os, c.window_seconds);
-  io::write_f64(os, c.fear_fraction);
-  io::write_f64(os, c.rates.bvp_hz);
-  io::write_f64(os, c.rates.gsr_hz);
-  io::write_f64(os, c.rates.skt_hz);
-  io::write_u64(os, dataset.volunteers().size());
+  w.u64(c.seed);
+  w.u64(c.n_volunteers);
+  w.u64(c.trials_per_volunteer);
+  w.u64(c.windows_per_trial);
+  w.f64(c.window_seconds);
+  w.f64(c.fear_fraction);
+  w.f64(c.rates.bvp_hz);
+  w.f64(c.rates.gsr_hz);
+  w.f64(c.rates.skt_hz);
+  w.u64(dataset.volunteers().size());
   for (const VolunteerMeta& m : dataset.volunteers()) {
-    io::write_u64(os, m.id);
-    io::write_u64(os, m.archetype_id);
-    write_profile(os, m.profile);
+    w.u64(m.id);
+    w.u64(m.archetype_id);
+    put_profile(w, m.profile);
   }
-  io::write_u64(os, dataset.samples().size());
+  w.u64(dataset.samples().size());
   for (const Sample& s : dataset.samples()) {
-    io::write_u64(os, s.volunteer_id);
-    io::write_u64(os, s.trial_id);
-    io::write_u64(os, static_cast<std::uint64_t>(s.emotion));
-    io::write_u64(os, static_cast<std::uint64_t>(s.label));
-    io::write_tensor(os, s.feature_map);
+    w.u64(s.volunteer_id);
+    w.u64(s.trial_id);
+    w.u64(static_cast<std::uint64_t>(s.emotion));
+    w.u64(static_cast<std::uint64_t>(s.label));
+    io::put_tensor(w, s.feature_map);
   }
-  CLEAR_CHECK_MSG(os.good(), "IO error writing dataset: " << path);
+  bytes::write_file_atomic(path, w.take(), "dataset");
 }
 
 WemacDataset load_dataset(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CLEAR_CHECK_MSG(is.good(), "cannot open dataset file: " << path);
-  CLEAR_CHECK_MSG(io::read_u64(is) == kDatasetMagic, "bad dataset magic");
-  (void)io::read_string(is);  // cache key (informational)
+  const std::string file = bytes::read_file(path);
+  CLEAR_CHECK_MSG(!file.empty(), "cannot open dataset file: " << path);
+  bytes::Reader r(file, "dataset");
+  CLEAR_CHECK_MSG(r.u64() == kDatasetMagic, "bad dataset magic");
+  (void)r.bytes(r.u64());  // cache key (informational)
   WemacConfig c;
-  c.seed = io::read_u64(is);
-  c.n_volunteers = io::read_u64(is);
-  c.trials_per_volunteer = io::read_u64(is);
-  c.windows_per_trial = io::read_u64(is);
-  c.window_seconds = io::read_f64(is);
-  c.fear_fraction = io::read_f64(is);
-  c.rates.bvp_hz = io::read_f64(is);
-  c.rates.gsr_hz = io::read_f64(is);
-  c.rates.skt_hz = io::read_f64(is);
-  const std::uint64_t n_vol = io::read_u64(is);
+  c.seed = r.u64();
+  c.n_volunteers = r.u64();
+  c.trials_per_volunteer = r.u64();
+  c.windows_per_trial = r.u64();
+  c.window_seconds = r.f64();
+  c.fear_fraction = r.f64();
+  c.rates.bvp_hz = r.f64();
+  c.rates.gsr_hz = r.f64();
+  c.rates.skt_hz = r.f64();
+  const std::uint64_t n_vol = r.u64();
   CLEAR_CHECK_MSG(n_vol == c.n_volunteers, "dataset volunteer count mismatch");
-  std::vector<VolunteerMeta> volunteers(n_vol);
+  std::vector<VolunteerMeta> volunteers(
+      r.count(n_vol, 4 * sizeof(std::uint64_t) + kProfileDoubles * 8));
   for (auto& m : volunteers) {
-    m.id = io::read_u64(is);
-    m.archetype_id = io::read_u64(is);
-    m.profile = read_profile(is);
+    m.id = r.u64();
+    m.archetype_id = r.u64();
+    m.profile = get_profile(r);
   }
-  const std::uint64_t n_samples = io::read_u64(is);
-  std::vector<Sample> samples(n_samples);
+  // A sample is at least its four u64 fields plus a CTSR header.
+  std::vector<Sample> samples(r.count(r.u64(), 4 * 8 + 16));
   for (auto& s : samples) {
-    s.volunteer_id = io::read_u64(is);
-    s.trial_id = io::read_u64(is);
-    s.emotion = static_cast<Emotion>(io::read_u64(is));
-    s.label = static_cast<int>(io::read_u64(is));
-    s.feature_map = io::read_tensor(is);
+    s.volunteer_id = r.u64();
+    s.trial_id = r.u64();
+    s.emotion = static_cast<Emotion>(r.u64());
+    s.label = static_cast<int>(r.u64());
+    s.feature_map = io::get_tensor(r);
   }
+  r.expect_end();
   return WemacDataset(std::move(c), std::move(volunteers), std::move(samples));
 }
 

@@ -1,11 +1,10 @@
 // Property tests for the CLRART01 artifact container and the delta
 // checkpoint codec: byte-identical reconstruction for every unfrozen-layer
 // shape and serving tier, addressed rejection of damaged containers, and
-// legacy compatibility.
+// fallbacks to full storage.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,8 @@ std::unique_ptr<nn::Sequential> make_model(std::uint64_t seed) {
   return model;
 }
 
-std::string blob_of(nn::Sequential& model,
-                    nn::CheckpointFormat format = nn::CheckpointFormat::kCrcV2) {
-  std::ostringstream os(std::ios::binary);
-  nn::save_checkpoint(os, model, format);
-  return os.str();
+std::string blob_of(nn::Sequential& model) {
+  return nn::encode_checkpoint(model);
 }
 
 /// Nudge every unfrozen weight by a small relative step — the shape of an
@@ -257,7 +253,7 @@ TEST(DeltaCodec, RoundTripsEveryUnfrozenTensorShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta codec: fallbacks and legacy compatibility
+// Delta codec: fallbacks
 // ---------------------------------------------------------------------------
 
 TEST(DeltaCodec, FallsBackOnMismatchedArchitectures) {
@@ -272,23 +268,22 @@ TEST(DeltaCodec, FallsBackOnMismatchedArchitectures) {
                    .has_value());
 }
 
-TEST(DeltaCodec, FallsBackOnLegacyV1Input) {
-  // A v1 fine-tune blob cannot be reconstructed byte-identically from a v2
-  // re-serialization, so the encoder must decline rather than mangle it.
+TEST(DeltaCodec, FallsBackOnNonCanonicalInput) {
+  // A fine-tune blob that is not exactly a checkpoint encoding (here: a
+  // trailing byte) cannot be reconstructed byte-identically, so the encoder
+  // must decline rather than mangle it.
   auto base = make_model(61);
   auto ft = make_model(61);
   perturb_unfrozen_fp32(*ft, 62);
   const auto delta = serve::delta::encode(
       blob_of(*base), BaseRef{BaseRef::Kind::kCluster, 0},
-      blob_of(*ft, nn::CheckpointFormat::kLegacyV1), nullptr);
+      blob_of(*ft) + '\0', nullptr);
   EXPECT_FALSE(delta.has_value());
 }
 
 TEST(DeltaCodec, LegacyBlobsAreNotDeltas) {
   auto model = make_model(71);
   EXPECT_FALSE(serve::delta::is_delta(blob_of(*model)));
-  EXPECT_FALSE(serve::delta::is_delta(
-      blob_of(*model, nn::CheckpointFormat::kLegacyV1)));
   EXPECT_FALSE(serve::delta::is_delta(""));
 }
 

@@ -1,11 +1,13 @@
 #include "nn/checkpoint.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "nn/model.hpp"
@@ -54,6 +56,16 @@ TEST(Checkpoint, RestoredModelGivesIdenticalOutputs) {
   for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], yb[i]);
 }
 
+/// Checkpoint files go through the one atomic writer (fault sites
+/// "checkpoint write" then "checkpoint rename").
+void save_checkpoint_file(const std::string& path, Sequential& model) {
+  bytes::write_file_atomic(path, encode_checkpoint(model), "checkpoint");
+}
+
+void load_checkpoint_file(const std::string& path, Sequential& model) {
+  load_checkpoint(bytes::read_file(path), model);
+}
+
 TEST(Checkpoint, FileRoundTrip) {
   namespace fs = std::filesystem;
   Rng r1(6), r2(7);
@@ -96,18 +108,14 @@ TEST(Checkpoint, MissingFileThrows) {
 // Corruption taxonomy: every way a checkpoint file can rot must produce a
 // distinct, descriptive error — never silently wrong weights.
 
-std::string serialized_checkpoint(Sequential& model,
-                                  CheckpointFormat format) {
-  std::ostringstream os(std::ios::binary);
-  save_checkpoint(os, model, format);
-  return os.str();
+std::string serialized_checkpoint(Sequential& model) {
+  return encode_checkpoint(model);
 }
 
 void expect_load_error(const std::string& bytes, Sequential& model,
                        const std::string& needle) {
-  std::istringstream is(bytes, std::ios::binary);
   try {
-    load_checkpoint(is, model);
+    load_checkpoint(bytes, model);
     FAIL() << "expected error containing '" << needle << "'";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -115,23 +123,12 @@ void expect_load_error(const std::string& bytes, Sequential& model,
   }
 }
 
-TEST(CheckpointIntegrity, LegacyV1StillLoads) {
-  Rng r1(20), r2(21);
-  auto a = build_cnn_lstm(tiny_model_config(), r1);
-  auto b = build_cnn_lstm(tiny_model_config(), r2);
-  const std::string bytes =
-      serialized_checkpoint(*a, CheckpointFormat::kLegacyV1);
-  std::istringstream is(bytes, std::ios::binary);
-  load_checkpoint(is, *b);
-  EXPECT_EQ(a->parameters()[0]->value[0], b->parameters()[0]->value[0]);
-}
-
 TEST(CheckpointIntegrity, EveryFlippedByteIsCaught) {
   Rng r1(22), r2(23);
   auto a = build_cnn_lstm(tiny_model_config(), r1);
   auto b = build_cnn_lstm(tiny_model_config(), r2);
   const std::string bytes =
-      serialized_checkpoint(*a, CheckpointFormat::kCrcV2);
+      serialized_checkpoint(*a);
   // Flipping any byte anywhere in the file must throw — magic, version,
   // length, payload, or CRC footer. Stride keeps the test fast while still
   // covering every region, and the first 32 header bytes are covered densely.
@@ -139,12 +136,10 @@ TEST(CheckpointIntegrity, EveryFlippedByteIsCaught) {
        i += (i < 32 ? 1 : std::max<std::size_t>(1, bytes.size() / 97))) {
     std::string bad = bytes;
     bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    std::istringstream is(bad, std::ios::binary);
-    EXPECT_THROW(load_checkpoint(is, *b), Error) << "flip at byte " << i;
+    EXPECT_THROW(load_checkpoint(bad, *b), Error) << "flip at byte " << i;
   }
   // And the undamaged bytes still load (the model was never half-written).
-  std::istringstream is(bytes, std::ios::binary);
-  load_checkpoint(is, *b);
+  load_checkpoint(bytes, *b);
   EXPECT_EQ(a->parameters()[0]->value[0], b->parameters()[0]->value[0]);
 }
 
@@ -152,7 +147,7 @@ TEST(CheckpointIntegrity, PayloadBitFlipReportsCrcMismatch) {
   Rng r1(24), r2(25);
   auto a = build_cnn_lstm(tiny_model_config(), r1);
   auto b = build_cnn_lstm(tiny_model_config(), r2);
-  std::string bytes = serialized_checkpoint(*a, CheckpointFormat::kCrcV2);
+  std::string bytes = serialized_checkpoint(*a);
   bytes[bytes.size() / 2] ^= 0x01;  // Single bit, middle of the weights.
   expect_load_error(bytes, *b, "CRC mismatch");
 }
@@ -162,7 +157,7 @@ TEST(CheckpointIntegrity, TruncationReportsTruncation) {
   auto a = build_cnn_lstm(tiny_model_config(), r1);
   auto b = build_cnn_lstm(tiny_model_config(), r2);
   const std::string bytes =
-      serialized_checkpoint(*a, CheckpointFormat::kCrcV2);
+      serialized_checkpoint(*a);
   // Cut inside the payload.
   expect_load_error(bytes.substr(0, bytes.size() / 2), *b,
                     "truncated checkpoint");
@@ -175,9 +170,26 @@ TEST(CheckpointIntegrity, WrongVersionReportsVersion) {
   Rng r1(28), r2(29);
   auto a = build_cnn_lstm(tiny_model_config(), r1);
   auto b = build_cnn_lstm(tiny_model_config(), r2);
-  std::string bytes = serialized_checkpoint(*a, CheckpointFormat::kCrcV2);
+  std::string bytes = serialized_checkpoint(*a);
   bytes[8] = 99;  // Version field follows the 8-byte magic.
   expect_load_error(bytes, *b, "unsupported checkpoint version");
+}
+
+TEST(CheckpointIntegrity, CorruptLengthIsTruncationNotAnAllocation) {
+  // A flipped length byte once asked for up to 4 GiB before any read: the
+  // reader must check the declared length against the bytes present first,
+  // so a bit-rotted checkpoint is a clean "truncated" error on a device
+  // with little memory, not an out-of-memory kill.
+  Rng r1(34), r2(35);
+  auto a = build_cnn_lstm(tiny_model_config(), r1);
+  auto b = build_cnn_lstm(tiny_model_config(), r2);
+  std::string bytes = serialized_checkpoint(*a);
+  for (int i = 0; i < 4; ++i) bytes[16 + i] = static_cast<char>(0xFF);
+  for (int i = 4; i < 8; ++i) bytes[16 + i] = 0;  // length = 2^32 - 1
+  expect_load_error(bytes, *b, "truncated checkpoint");
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LT(usage.ru_maxrss, 256L * 1024) << "peak RSS in KiB";
 }
 
 TEST(CheckpointIntegrity, InjectedCrashLeavesOnlyStaleTempFile) {
@@ -190,7 +202,7 @@ TEST(CheckpointIntegrity, InjectedCrashLeavesOnlyStaleTempFile) {
   fs::remove(path);
   fs::remove(path + ".tmp");
   // Crash at the commit point: temp file written, rename never happens.
-  fault::arm_io_failure(2);  // 1 = open guard, 2 = rename guard.
+  fault::arm_io_failure(2);  // 1 = write guard, 2 = rename guard.
   EXPECT_THROW(save_checkpoint_file(path, *a), Error);
   fault::disarm_io_failure();
   EXPECT_FALSE(fs::exists(path));  // Never committed...
@@ -210,7 +222,7 @@ TEST(CheckpointIntegrity, SaveRetriesCleanlyAfterInjectedFailure) {
   auto b = build_cnn_lstm(tiny_model_config(), r2);
   const std::string path =
       (fs::temp_directory_path() / "clear_ckpt_retry.bin").string();
-  fault::arm_io_failure(1);  // Fail the open itself.
+  fault::arm_io_failure(1);  // Fail before the temp file is written.
   EXPECT_THROW(save_checkpoint_file(path, *a), Error);
   fault::disarm_io_failure();
   save_checkpoint_file(path, *a);  // Retry succeeds.

@@ -5,14 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "tensor/serialize.hpp"
 
 namespace clear::serve {
 namespace {
@@ -358,32 +356,33 @@ TEST_F(JournalTest, StateExistsAfterAnyDurableArtifact) {
   EXPECT_TRUE(journal_state_exists(dir));
 }
 
-// -- Format versioning (v1 compat, future refusal, unknown kinds) ------------
-
-void put_le32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
+// -- Format versioning (other-version refusal, unknown kinds) ----------------
 
 /// CRC-frame a payload exactly like Journal::append does.
 std::string framed(const std::string& payload) {
-  std::string f;
-  put_le32(f, static_cast<std::uint32_t>(payload.size()));
-  put_le32(f, crc32(payload));
-  f += payload;
-  return f;
+  bytes::Writer w;
+  const std::size_t at = bytes::begin_record(w);
+  w.raw(payload);
+  bytes::end_record(w, at);
+  return w.take();
 }
 
 /// The 16-byte log header an arbitrary-version writer would emit.
 std::string log_header(std::uint64_t version) {
-  std::string h = "CLRWAL";
-  h.push_back(static_cast<char>('0' + (version / 10) % 10));
-  h.push_back(static_cast<char>('0' + version % 10));
-  put_le32(h, static_cast<std::uint32_t>(version));
-  put_le32(h, 0);
-  return h;
+  bytes::Writer w;
+  w.raw("CLRWAL");
+  w.u8(static_cast<std::uint8_t>('0' + (version / 10) % 10));
+  w.u8(static_cast<std::uint8_t>('0' + version % 10));
+  w.u32(static_cast<std::uint32_t>(version));
+  w.u32(0);
+  return w.take();
+}
+
+/// A record payload from its u64 fields.
+std::string u64_payload(std::initializer_list<std::uint64_t> fields) {
+  bytes::Writer w;
+  for (const std::uint64_t v : fields) w.u64(v);
+  return w.take();
 }
 
 TEST_F(JournalTest, AdaptationRecordKindsRoundTrip) {
@@ -448,104 +447,19 @@ TEST_F(JournalTest, AdaptationRecordKindsRoundTrip) {
   }
 }
 
-TEST_F(JournalTest, ReadsFormatV1FilesFromOldWriters) {
-  // A v1 log, byte-for-byte what a pre-adaptation binary wrote: "CLRWAL01"
-  // header and only the v1 record kinds. The v2 reader must accept it.
-  std::ostringstream p1(std::ios::binary);
-  io::write_u64(p1, 1);  // seq
-  io::write_u64(p1, static_cast<std::uint64_t>(RecordType::kRequest));
-  io::write_u64(p1, 7);  // user_id
-  io::write_u64(p1, 1000);
-  io::write_f64(p1, 0.875);
-  std::ostringstream p2(std::ios::binary);
-  io::write_u64(p2, 2);
-  io::write_u64(p2, static_cast<std::uint64_t>(RecordType::kAssign));
-  io::write_u64(p2, 7);
-  io::write_u64(p2, 2);  // cluster
-  fs::create_directories(dir);
-  {
-    std::ofstream os(journal_log_path(dir), std::ios::binary);
-    const std::string bytes =
-        log_header(1) + framed(p1.str()) + framed(p2.str());
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  const JournalReadResult read = read_journal(dir);
-  EXPECT_TRUE(read.header_error.empty());
-  EXPECT_EQ(read.tail_bytes_dropped, 0u);
-  ASSERT_EQ(read.records.size(), 2u);
-  EXPECT_EQ(read.records[0].type, RecordType::kRequest);
-  EXPECT_EQ(read.records[0].user_id, 7u);
-  EXPECT_EQ(read.records[0].time_us, 1000u);
-  EXPECT_EQ(read.records[0].quality, 0.875);
-  EXPECT_EQ(read.records[1].type, RecordType::kAssign);
-  EXPECT_EQ(read.records[1].cluster, 2u);
-}
-
-TEST_F(JournalTest, ReadsFormatV1SnapshotsWithoutAdaptationFields) {
-  // A v1 snapshot payload simply ends after has_personal; the v2 reader must
-  // leave every adaptation field at its zero default.
-  std::ostringstream os(std::ios::binary);
-  io::write_u64(os, 5);     // last_seq
-  io::write_u64(os, 9000);  // last_arrival_us
-  for (int i = 0; i < 9; ++i) io::write_u64(os, 10 + i);  // v1 counters
-  io::write_u64(os, 1);  // one session
-  io::write_u64(os, 3);  // user_id
-  io::write_u64(os, static_cast<std::uint64_t>(SessionState::kAssigned));
-  io::write_u64(os, static_cast<std::uint64_t>(SessionState::kAssigned));
-  io::write_u64(os, 0);  // bad_streak
-  io::write_u64(os, 0);  // good_streak
-  io::write_u64(os, 1);  // cluster
-  io::write_u64(os, 0);  // no observations
-  io::write_u64(os, 0);  // no labelled maps
-  io::write_u64(os, 1);  // finetune_enabled
-  io::write_u64(os, 10);  // requests
-  io::write_u64(os, 0);   // shed
-  io::write_u64(os, 8);   // predictions
-  io::write_u64(os, 1000);  // first_arrival_us
-  io::write_u64(os, 0);     // no first_prediction
-  io::write_u64(os, 0);
-  io::write_u64(os, 0);  // has_personal
-  const std::string payload = os.str();
-  std::string bytes = "CLRSNP01";
-  put_le32(bytes, 1);
-  put_le32(bytes, static_cast<std::uint32_t>(payload.size()));
-  put_le32(bytes, crc32(payload));
-  bytes += payload;
-  fs::create_directories(dir);
-  {
-    std::ofstream f(snapshot_path(dir), std::ios::binary);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  const std::optional<SnapshotData> snap = read_snapshot(dir);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->last_seq, 5u);
-  EXPECT_EQ(snap->counters.requests, 10u);
-  EXPECT_EQ(snap->counters.drift_ticks, 0u);
-  EXPECT_EQ(snap->counters.promotions, 0u);
-  ASSERT_EQ(snap->sessions.size(), 1u);
-  const SessionImage& img = snap->sessions[0];
-  EXPECT_EQ(img.state, SessionState::kAssigned);
-  EXPECT_EQ(img.drift_streak, 0u);
-  EXPECT_EQ(img.reassess_from, SessionState::kAssigned);
-  EXPECT_EQ(img.shadow_seen, 0u);
-}
-
 TEST_F(JournalTest, RefusesFutureFormatVersionsAtTheHeader) {
   // A v3 writer may have changed the framing itself, so a v2 reader must
-  // refuse the whole file with a versioned error — the exact behavior a v1
-  // reader shows a v2 log.
-  std::ostringstream p(std::ios::binary);
-  io::write_u64(p, 1);
-  io::write_u64(p, static_cast<std::uint64_t>(RecordType::kRequest));
-  io::write_u64(p, 7);
-  io::write_u64(p, 1000);
-  io::write_f64(p, 1.0);
+  // refuse the whole file with a versioned error.
+  bytes::Writer p;
+  p.u64(1);
+  p.u64(static_cast<std::uint64_t>(RecordType::kRequest));
+  p.u64(7);
+  p.u64(1000);
+  p.f64(1.0);
   fs::create_directories(dir);
   {
     std::ofstream os(journal_log_path(dir), std::ios::binary);
-    const std::string bytes = log_header(3) + framed(p.str());
+    const std::string bytes = log_header(3) + framed(p.take());
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
@@ -555,7 +469,7 @@ TEST_F(JournalTest, RefusesFutureFormatVersionsAtTheHeader) {
   EXPECT_EQ(read.tail_bytes_dropped, fs::file_size(journal_log_path(dir)));
   EXPECT_NE(read.header_error.find("format version 3"), std::string::npos)
       << read.header_error;
-  EXPECT_NE(read.header_error.find("v1-v2"), std::string::npos)
+  EXPECT_NE(read.header_error.find("supports v2"), std::string::npos)
       << read.header_error;
 }
 
@@ -569,20 +483,15 @@ TEST_F(JournalTest, UnknownKindRecordsSurfaceAsSentinelsAndReadingContinues) {
     Journal journal({dir});
     first_bytes = journal.append(request_record(7, 1000));
   }
-  std::ostringstream unknown(std::ios::binary);
-  io::write_u64(unknown, 2);   // seq
-  io::write_u64(unknown, 99);  // kind this reader has never heard of
-  io::write_u64(unknown, 42);  // user_id (stable prefix across versions)
-  io::write_u64(unknown, 0xFEEDFACE);  // opaque payload bytes
-  std::ostringstream after(std::ios::binary);
-  io::write_u64(after, 3);
-  io::write_u64(after, static_cast<std::uint64_t>(RecordType::kPredict));
-  io::write_u64(after, 8);
-  io::write_u64(after, 5000);
+  // seq, a kind this reader has never heard of, user_id (the stable prefix
+  // across versions), then opaque payload bytes.
+  const std::string unknown = u64_payload({2, 99, 42, 0xFEEDFACE});
+  const std::string after = u64_payload(
+      {3, static_cast<std::uint64_t>(RecordType::kPredict), 8, 5000});
   {
     std::ofstream os(journal_log_path(dir),
                      std::ios::binary | std::ios::app);
-    const std::string bytes = framed(unknown.str()) + framed(after.str());
+    const std::string bytes = framed(unknown) + framed(after);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 

@@ -18,11 +18,10 @@
 
 #include "clear/config.hpp"
 #include "clear/pipeline.hpp"
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
-#include "tensor/serialize.hpp"
 #include "serve/delta.hpp"
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
@@ -683,20 +682,13 @@ TEST_F(RecoveryTest, UnknownKindRecordQuarantinesOnlyThatSession) {
   crash_after_phase1(journaled_config(dir));
   // Append a CRC-intact record of kind 99 naming user 2 — what a newer
   // format revision that kept the framing would have written.
-  std::ostringstream payload(std::ios::binary);
-  io::write_u64(payload, 1000);  // seq (past everything journaled so far)
-  io::write_u64(payload, 99);    // kind
-  io::write_u64(payload, 2);     // user_id
-  const std::string p = payload.str();
-  std::string frame;
-  for (const std::uint32_t v :
-       {static_cast<std::uint32_t>(p.size()), crc32(p)}) {
-    frame.push_back(static_cast<char>(v & 0xFF));
-    frame.push_back(static_cast<char>((v >> 8) & 0xFF));
-    frame.push_back(static_cast<char>((v >> 16) & 0xFF));
-    frame.push_back(static_cast<char>((v >> 24) & 0xFF));
-  }
-  frame += p;
+  bytes::Writer w;
+  const std::size_t at = bytes::begin_record(w);
+  w.u64(1000);  // seq (past everything journaled so far)
+  w.u64(99);    // kind
+  w.u64(2);     // user_id
+  bytes::end_record(w, at);
+  const std::string frame = w.take();
   {
     std::ofstream os(journal_log_path(dir),
                      std::ios::binary | std::ios::app);
