@@ -130,8 +130,8 @@ void get_meta_payload(bytes::Reader& r, ClearConfig& config,
   state.clustering.converged = r.u64() != 0;
 }
 
-/// Write `bytes` to `path` atomically (fault sites "artifact write" /
-/// "artifact rename"): a crashed writer leaves only the stale `.tmp`.
+/// Every artifact file is written atomically (fault sites "artifact write"
+/// and "artifact rename"): a crashed writer leaves only the stale `.tmp`.
 void atomic_write(const fs::path& path, std::string_view data) {
   bytes::write_file_atomic(path.string(), data, "artifact");
 }

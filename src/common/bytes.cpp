@@ -49,32 +49,13 @@ void fsync_path(const std::string& path) {
 
 }  // namespace
 
-void Writer::varint(std::uint64_t v) {
-  while (v >= 0x80u) {
-    u8(static_cast<std::uint8_t>((v & 0x7Fu) | 0x80u));
-    v >>= 7;
-  }
-  u8(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t Reader::varint() {
-  const std::size_t start = pos_;
-  std::uint64_t v = 0;
-  for (int shift = 0;; shift += 7) {
-    if (shift >= 64) {
-      std::ostringstream os;
-      os << what_ << " varint at offset " << start << " overruns 64 bits";
-      fail(os);
-    }
-    if (pos_ == in_.size()) {
-      std::ostringstream os;
-      os << what_ << " truncated in a varint at offset " << start;
-      fail(os);
-    }
-    const auto b = static_cast<std::uint8_t>(in_[pos_++]);
-    v |= std::uint64_t(b & 0x7Fu) << shift;
-    if ((b & 0x80u) == 0) return v;
-  }
+void Reader::bad_varint(std::size_t start, bool overrun) const {
+  std::ostringstream os;
+  if (overrun)
+    os << what_ << " varint at offset " << start << " overruns 64 bits";
+  else
+    os << what_ << " truncated in a varint at offset " << start;
+  fail(os);
 }
 
 std::size_t Reader::count(std::uint64_t n, std::size_t min_bytes) {

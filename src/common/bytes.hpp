@@ -52,7 +52,10 @@ class Writer {
     out_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
   }
   /// LEB128: 7 value bits per byte, high bit set on all but the last.
-  void varint(std::uint64_t v);
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80u; v >>= 7) u8(static_cast<std::uint8_t>(v | 0x80u));
+    u8(static_cast<std::uint8_t>(v));
+  }
   void raw(std::string_view b) { out_.append(b); }
   void zeros(std::size_t n) { out_.append(n, '\0'); }
 
@@ -97,7 +100,17 @@ class Reader {
   std::int32_t i32() { return get<std::int32_t>(); }
   float f32() { return get<float>(); }
   double f64() { return get<double>(); }
-  std::uint64_t varint();
+  std::uint64_t varint() {
+    const std::size_t start = pos_;
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (pos_ == in_.size()) bad_varint(start, /*overrun=*/false);
+      const auto b = static_cast<std::uint8_t>(in_[pos_++]);
+      v |= std::uint64_t(b & 0x7Fu) << shift;
+      if ((b & 0x80u) == 0) return v;
+    }
+    bad_varint(start, /*overrun=*/true);
+  }
   /// The next `n` bytes as a view into the input.
   std::string_view bytes(std::uint64_t n) {
     return {take(checked(n)), static_cast<std::size_t>(n)};
@@ -112,7 +125,6 @@ class Reader {
   /// never size an allocation. Returns `n` as a size.
   std::size_t count(std::uint64_t n, std::size_t min_bytes);
 
-  std::size_t offset() const { return pos_; }
   std::size_t remaining() const { return in_.size() - pos_; }
   /// Throws unless every byte was consumed.
   void expect_end() const;
@@ -135,6 +147,7 @@ class Reader {
     return static_cast<std::size_t>(n);
   }
   [[noreturn]] void truncated(std::uint64_t need) const;
+  [[noreturn]] void bad_varint(std::size_t start, bool overrun) const;
 
   std::string_view in_;
   std::size_t pos_ = 0;

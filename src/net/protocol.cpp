@@ -9,31 +9,22 @@ namespace clear::net {
 
 namespace {
 
-/// Start a frame in `w`: the 8-byte prefix (magic, version, type,
-/// reserved), then the `[u32 len][u32 crc][payload]` record the payload
-/// is written into. Returns the payload's offset for end_frame.
-std::size_t begin_frame(bytes::Writer& w, FrameType type) {
+/// One frame: the 8-byte prefix (magic, version, type, reserved), then the
+/// `[u32 len][u32 crc][payload]` record whose payload `body` writes in
+/// place.
+template <typename Body>
+std::string frame(FrameType type, std::size_t payload_hint, Body body) {
+  bytes::Writer w(kHeaderSize + payload_hint);
   w.u32(kMagic);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(type));
   w.u16(0);  // reserved
-  return bytes::begin_record(w);
-}
-
-std::string end_frame(bytes::Writer& w, std::size_t payload_at) {
-  const std::size_t len = w.size() - payload_at;
-  CLEAR_CHECK_MSG(len <= kMaxPayload, "frame payload too large: " << len);
-  bytes::end_record(w, payload_at);
-  return w.take();
-}
-
-/// Frame with a payload written by `body`.
-template <typename Body>
-std::string frame(FrameType type, std::size_t payload_hint, Body body) {
-  bytes::Writer w(kHeaderSize + payload_hint);
-  const std::size_t at = begin_frame(w, type);
+  const std::size_t at = bytes::begin_record(w);
   body(w);
-  return end_frame(w, at);
+  CLEAR_CHECK_MSG(w.size() - at <= kMaxPayload,
+                  "frame payload too large: " << w.size() - at);
+  bytes::end_record(w, at);
+  return w.take();
 }
 
 /// Run a typed parser over a frame's payload. Parsers read through a
@@ -146,7 +137,7 @@ std::string encode_response(const WireResponse& response) {
 }
 
 std::string encode_drain() {
-  return frame(FrameType::kDrain, 0, [](bytes::Writer&) {});
+  return encode_frame(FrameType::kDrain, std::string());
 }
 
 std::string encode_drain_ack(const WireDrainAck& ack) {
@@ -158,7 +149,7 @@ std::string encode_drain_ack(const WireDrainAck& ack) {
 }
 
 std::string encode_shutdown() {
-  return frame(FrameType::kShutdown, 0, [](bytes::Writer&) {});
+  return encode_frame(FrameType::kShutdown, std::string());
 }
 
 std::string encode_ping(std::uint64_t nonce) {
@@ -178,7 +169,7 @@ std::string encode_export(std::uint64_t user_id) {
 }
 
 std::string encode_session_image(const WireSessionImage& image) {
-  // end_frame enforces kMaxPayload: a session image plus a smoke-scale
+  // frame() enforces kMaxPayload: a session image plus a smoke-scale
   // personal checkpoint is tens of KiB, far below the 1 MiB frame bound.
   return frame(FrameType::kSessionImage,
                20 + image.image.size() + image.checkpoint.size(),
@@ -219,7 +210,7 @@ std::string encode_adopt_ack(const WireAdoptAck& ack) {
 }
 
 std::string encode_metrics_pull() {
-  return frame(FrameType::kMetricsPull, 0, [](bytes::Writer&) {});
+  return encode_frame(FrameType::kMetricsPull, std::string());
 }
 
 std::string encode_metrics_json(const std::string& json) {

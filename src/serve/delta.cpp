@@ -660,9 +660,11 @@ std::string decode(const std::string& delta_blob,
                               << "; delta was encoded against "
                               << meta.base_bytes << " bytes, crc "
                               << meta.base_crc);
-  // No payload-CRC pass on the base: the reconstruction check below
-  // recomputes the full blob's CRC, so damage anywhere in the base still
-  // fails loudly (see nn::checkpoint_digest).
+  // No payload-CRC pass on the base (one full digest pass saved per cold
+  // load), and the base digest above trusts its stored footer: both are
+  // sound because the reconstruction check below compares against a footer
+  // *recomputed* by re-encoding, so damage anywhere in the base or the
+  // container perturbs the result and fails loudly.
   const std::vector<NamedTensor> base_params =
       nn::decode_checkpoint(base_blob, /*verify_crc=*/false);
   CLEAR_CHECK_MSG(meta.tensor_count == base_params.size(),

@@ -8,8 +8,10 @@
 #   tools/run_sanitizer_tests.sh [thread|undefined|address|obsoff|all] \
 #       [build-dir-prefix]
 #
-# `address` replays the wire-protocol fuzz/property suites (tests/net) and
-# the artifact-container / delta-codec fuzz suites (tests/artifact) plus
+# `address` replays the wire-protocol fuzz/property suites (tests/net), the
+# artifact-container / delta-codec fuzz suites (tests/artifact), the shared
+# byte codec and format goldens (test_formats), the checkpoint and
+# pipeline.meta decoders (test_nn Checkpoint*, test_clear Artifacts*) plus
 # the fault suites under ASan+UBSAN — the frame decoder and the artifact
 # codecs chew adversarial byte streams, exactly where an out-of-bounds
 # read would hide. `obsoff`
@@ -46,10 +48,12 @@ run_ubsan() {
   local dir="${PREFIX}-ubsan"
   cmake -B "$dir" -S . -DCLEAR_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j --target test_fault test_common test_nn test_features \
-    test_kernel_equivalence test_net test_serve test_delta
+    test_kernel_equivalence test_net test_serve test_delta test_formats
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   echo "== test_fault (UBSAN) =="
   "$dir/tests/test_fault"
+  echo "== test_formats (UBSAN, byte codec + format goldens) =="
+  "$dir/tests/test_formats"
   echo "== test_serve (UBSAN, journal framing + crash-recovery replay) =="
   "$dir/tests/test_serve" --gtest_filter='JournalTest*:RecoveryTest*'
   echo "== test_kernel_equivalence (UBSAN, SIMD + fp16/int8 bit paths) =="
@@ -69,7 +73,8 @@ run_ubsan() {
 run_asan() {
   local dir="${PREFIX}-asan"
   cmake -B "$dir" -S . -DCLEAR_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$dir" -j --target test_net test_fault test_serve test_delta
+  cmake --build "$dir" -j --target test_net test_fault test_serve test_delta \
+    test_formats test_nn test_clear
   export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   echo "== test_net (ASAN, full wire suite: fuzzed decode, loopback, faults) =="
@@ -81,6 +86,12 @@ run_asan() {
   echo "== test_delta (ASAN, fuzzed containers + corrupt delta payloads) =="
   "$dir/tests/test_delta" \
     --gtest_filter='ArtifactStore.Fuzz*:ArtifactStore.Rejects*:DeltaCodec.Rejects*:DeltaCodec.RoundTrips*'
+  echo "== test_formats (ASAN, byte codec + format goldens) =="
+  "$dir/tests/test_formats"
+  echo "== test_nn (ASAN, checkpoint decoder) =="
+  "$dir/tests/test_nn" --gtest_filter='Checkpoint*'
+  echo "== test_clear (ASAN, pipeline.meta decoder) =="
+  "$dir/tests/test_clear" --gtest_filter='Artifacts*'
 }
 
 run_obsoff() {
