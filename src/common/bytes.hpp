@@ -117,7 +117,8 @@ class Reader {
   }
   /// Fill `out` from the next out.size() f32s in one copy.
   void f32s(std::span<float> out) {
-    std::memcpy(out.data(), take(out.size_bytes()), out.size_bytes());
+    const char* p = take(out.size_bytes());
+    if (!out.empty()) std::memcpy(out.data(), p, out.size_bytes());
   }
 
   /// A count read from the input, checked to fit: `n` items of at least

@@ -129,7 +129,7 @@ Server::Server(ModelSource source, ServeConfig config)
 std::unique_ptr<edge::EdgeEngine> Server::build_engine(
     const std::string& blob, edge::Precision precision) {
   // Delta-stored personal checkpoints reconstruct against their recorded
-  // base before the model sees them; full/legacy blobs pass through. Any
+  // base before the model sees them; full blobs pass through. Any
   // decode failure throws an addressed clear::Error, which the callers
   // already treat exactly like a corrupt full checkpoint (cache fallback,
   // recovery quarantine, migration refusal).
