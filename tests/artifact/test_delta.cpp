@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "artifact/store.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "edge/quantize.hpp"
@@ -278,6 +279,22 @@ TEST(DeltaCodec, FallsBackOnNonCanonicalInput) {
   const auto delta = serve::delta::encode(
       blob_of(*base), BaseRef{BaseRef::Kind::kCluster, 0},
       blob_of(*ft) + '\0', nullptr);
+  EXPECT_FALSE(delta.has_value());
+}
+
+TEST(DeltaCodec, FallsBackOnLegacyV1Input) {
+  // A retired v1 blob ("CLEARCKP", then the bare v2 payload: no version,
+  // length or CRC) no longer parses, so the encoder must decline rather than
+  // throw or mangle it.
+  auto base = make_model(61);
+  auto ft = make_model(61);
+  perturb_unfrozen_fp32(*ft, 62);
+  const std::string v2 = blob_of(*ft);
+  bytes::Writer v1;
+  v1.u64(0x434C454152434B50ull);  // "CLEARCKP"
+  v1.raw(std::string_view(v2).substr(24, v2.size() - 32));
+  const auto delta = serve::delta::encode(
+      blob_of(*base), BaseRef{BaseRef::Kind::kCluster, 0}, v1.take(), nullptr);
   EXPECT_FALSE(delta.has_value());
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hpp"
 #include "nn/model.hpp"
 #include "nn/trainer.hpp"
@@ -18,11 +20,21 @@ CnnLstmConfig tiny() {
   return c;
 }
 
-class VariantSweep : public ::testing::TestWithParam<ModelFactory> {};
+// Each case prints as its architecture's name. A bare factory pointer would
+// print as its address, which changes with every build and, under ASLR,
+// every run, and that printed value is what names the case in ctest.
+struct Variant {
+  const char* name;
+  ModelFactory build;
+};
+
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
+class VariantSweep : public ::testing::TestWithParam<Variant> {};
 
 TEST_P(VariantSweep, ForwardShapeIsLogits) {
   Rng rng(1);
-  auto model = GetParam()(tiny(), rng);
+  auto model = GetParam().build(tiny(), rng);
   Rng xr(2);
   Tensor x({3, 1, 16, 8});
   x.fill_normal(xr, 0.0f, 1.0f);
@@ -50,7 +62,7 @@ TEST_P(VariantSweep, TrainsOnSeparableTask) {
     data.labels.push_back(i % 2);
   }
   Rng rng(4);
-  auto model = GetParam()(tiny(), rng);
+  auto model = GetParam().build(tiny(), rng);
   TrainConfig tc;
   tc.epochs = 14;
   tc.batch_size = 8;
@@ -62,8 +74,10 @@ TEST_P(VariantSweep, TrainsOnSeparableTask) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Architectures, VariantSweep,
-                         ::testing::Values(&build_cnn_lstm, &build_cnn_only,
-                                           &build_lstm_only));
+                         ::testing::Values(Variant{"CnnLstm", &build_cnn_lstm},
+                                           Variant{"CnnOnly", &build_cnn_only},
+                                           Variant{"LstmOnly",
+                                                   &build_lstm_only}));
 
 TEST(ModelVariants, ParameterCountsDiffer) {
   Rng r1(1), r2(2), r3(3);
