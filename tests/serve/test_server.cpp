@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
@@ -102,6 +103,47 @@ ServeConfig quick_serve_config() {
   return sc;
 }
 
+/// quick_serve_config() with int8 calibration maps (volunteer 0's
+/// normalized maps, as `clear-cli serve` uses) and a cache budget below one
+/// engine's size: the cache keeps only the entry it just built, so every
+/// switch of batch key evicts and later rebuilds an engine.
+ServeConfig one_engine_cache_config(std::vector<edge::Precision> precisions) {
+  auto& f = fixture();
+  ServeConfig sc = quick_serve_config();
+  sc.precisions = std::move(precisions);
+  sc.cache_budget_bytes = 1;
+  for (const std::size_t s : f.dataset.samples_of(0)) {
+    Tensor m = f.dataset.samples()[s].feature_map;
+    f.source.normalizer.apply_map(m);
+    sc.calibration_maps.push_back(std::move(m));
+  }
+  return sc;
+}
+
+/// FNV-1a-64 over (user, request, predicted, probability bits, route) of
+/// every result, in order.
+std::uint64_t results_digest(const std::vector<ServeResult>& results) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const ServeResult& r : results) {
+    mix(r.user_id, 8);
+    mix(r.request_id, 8);
+    mix(static_cast<std::uint32_t>(r.predicted), 4);
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &r.fear_probability, sizeof bits);
+    mix(bits, 4);
+    mix(static_cast<std::uint64_t>(r.route.kind), 1);
+    mix(r.route.id, 8);
+    mix(static_cast<std::uint64_t>(r.route.precision), 1);
+  }
+  return h;
+}
+
 TEST(Server, WorkloadIsBitIdenticalAcrossThreadCounts) {
   auto& f = fixture();
   std::vector<ServeResult> base;
@@ -132,6 +174,36 @@ TEST(Server, ResultsUnchangedWithMetricsEnabled) {
       observed.run(make_workload(f.dataset, small_workload()));
   obs::set_enabled(false);
   expect_identical(base, traced);
+}
+
+// Pins what the server answers at every tier, int8 included, across
+// commits: fine-tuning is on and the cache holds one engine, so the int8
+// cluster engines are evicted and rebuilt throughout the run. A change that
+// moves any prediction, probability bit or route fails here.
+TEST(Server, Int8OutputsArePinnedAcrossRebuilds) {
+  auto& f = fixture();
+  Server server(f.source,
+                one_engine_cache_config({edge::Precision::kFp32,
+                                         edge::Precision::kFp16,
+                                         edge::Precision::kInt8}));
+  WorkloadConfig wc = small_workload();
+  wc.n_users = 12;
+  wc.requests_per_user = 16;
+  const std::vector<ServeResult> out =
+      server.run(make_workload(f.dataset, wc));
+  // The scenario is what the pin claims: more misses than the 15 (model,
+  // tier) keys there are, so engines were rebuilt, and int8 sessions were
+  // personalized.
+  EXPECT_GT(server.cache().stats().misses, 15u);
+  std::size_t int8_personal = 0;
+  for (const ServeResult& r : out)
+    int8_personal += r.route.kind == BatchKey::Kind::kPersonal &&
+                     r.route.precision == edge::Precision::kInt8;
+  EXPECT_GT(int8_personal, 0u);
+
+  EXPECT_EQ(out.size(), 192u);
+  EXPECT_EQ(results_digest(out), 0x7e113949ed2317fbull)
+      << "digest 0x" << std::hex << results_digest(out);
 }
 
 TEST(Server, ServingFromArtifactsMatchesServingFromPipeline) {
