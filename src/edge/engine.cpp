@@ -76,6 +76,8 @@ std::size_t EdgeEngine::resident_bytes() {
 void EdgeEngine::calibrate(const std::vector<const Tensor*>& maps) {
   if (config_.precision != Precision::kInt8) return;
   CLEAR_CHECK_MSG(!maps.empty(), "calibration needs at least one map");
+  CLEAR_OBS_SPAN("edge.calibrate");
+  CLEAR_OBS_COUNT("edge.calibrations", 1);
   model_->set_training(false);
   // Collect per-stage activations over the calibration set.
   std::vector<std::vector<float>> stage_values(model_->size() + 1);
@@ -100,6 +102,16 @@ void EdgeEngine::calibrate(const std::vector<const Tensor*>& maps) {
                               : calibrate_percentile(vals,
                                                      config_.act_percentile));
   }
+}
+
+void EdgeEngine::set_activation_params(std::vector<QuantParams> params) {
+  CLEAR_CHECK_MSG(config_.precision == Precision::kInt8,
+                  "activation scales belong to int8 engines only");
+  CLEAR_CHECK_MSG(params.size() == model_->size() + 1,
+                  "expected " << model_->size() + 1
+                              << " activation scales (one per stage), got "
+                              << params.size());
+  act_params_ = std::move(params);
 }
 
 namespace {

@@ -34,13 +34,20 @@ struct EngineConfig {
 class EdgeEngine {
  public:
   /// Take ownership of a trained model and apply the weight-side precision
-  /// transform. For int8, calibrate() must be called before inference.
+  /// transform. For int8, calibrate() (or set_activation_params()) must be
+  /// called before inference.
   EdgeEngine(std::unique_ptr<nn::Sequential> model, EngineConfig config);
 
   /// Calibrate per-layer activation scales by running representative maps
   /// (each [F, W]) through the network. Required for int8; a no-op
   /// otherwise.
   void calibrate(const std::vector<const Tensor*>& maps);
+
+  /// Install activation scales that calibrate() produced earlier for these
+  /// same weights and maps, instead of calibrating again (calibration is a
+  /// pure function of both). int8 only; one scale per stage, as
+  /// activation_params() lays them out.
+  void set_activation_params(std::vector<QuantParams> params);
 
   /// Precision-emulated forward pass over a [N, 1, F, W] batch.
   Tensor forward(const Tensor& batch);

@@ -40,7 +40,7 @@ std::shared_ptr<CheckpointCache::Entry> CheckpointCache::acquire(
     const std::string blob = cluster_blob_(key.id);
     if (!blob.empty()) {
       try {
-        entry->engine = builder_(blob, key.precision);
+        entry->engine = build_own(key, blob);
         // Charge what the engine occupies resident, not the blob size: a
         // delta/compressed blob is small on disk but reconstructs to a
         // full-size model, and budgeting by disk bytes would let the cache
@@ -58,7 +58,7 @@ std::shared_ptr<CheckpointCache::Entry> CheckpointCache::acquire(
                       "cluster " << key.id
                                  << " checkpoint missing/corrupt and no "
                                     "general fallback available");
-      entry->engine = builder_(general, key.precision);
+      entry->engine = builder_(general, key.precision, nullptr);
       entry->bytes = entry->engine->resident_bytes();
       entry->fallback = true;
       ++stats_.fallbacks;
@@ -67,7 +67,7 @@ std::shared_ptr<CheckpointCache::Entry> CheckpointCache::acquire(
   } else {
     const std::string general = general_blob_();
     CLEAR_CHECK_MSG(!general.empty(), "no general checkpoint to serve");
-    entry->engine = builder_(general, key.precision);
+    entry->engine = build_own(key, general);
     entry->bytes = entry->engine->resident_bytes();
   }
 
@@ -76,6 +76,17 @@ std::shared_ptr<CheckpointCache::Entry> CheckpointCache::acquire(
   stats_.bytes_in_use += entry->bytes;
   evict_over_budget(key);
   return entry;
+}
+
+std::unique_ptr<edge::EdgeEngine> CheckpointCache::build_own(
+    const BatchKey& key, const std::string& blob) {
+  const auto known = scales_.find(key);
+  if (known != scales_.end())
+    return builder_(blob, key.precision, &known->second);
+  auto engine = builder_(blob, key.precision, nullptr);
+  if (key.precision == edge::Precision::kInt8 && engine->calibrated())
+    scales_.emplace(key, engine->activation_params());
+  return engine;
 }
 
 void CheckpointCache::touch(std::list<BatchKey>::iterator it) {

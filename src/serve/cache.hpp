@@ -11,6 +11,13 @@
 // degrades it to the general fallback blob (recorded as a fallback entry and
 // counted in stats) or throws an addressed error when no fallback exists.
 //
+// Calibration: an int8 engine's activation scales are a pure function of its
+// base weights and the server's calibration maps, both fixed for the
+// cache's life. So the cache keeps the scales of every int8 key it has built
+// from that key's own blob, across evictions, and hands them to the builder
+// on a rebuild instead of letting it calibrate again. A fallback build is
+// never recorded: its scales belong to the general blob, not the key's own.
+//
 // The loaders and engine builder are injected as std::functions, so tests
 // can exercise eviction order, byte accounting, and corrupt-blob fallback
 // without training a model.
@@ -42,10 +49,15 @@ class CheckpointCache {
   using BlobLoader = std::function<std::string(std::size_t cluster)>;
   /// Serialized general-model bytes ("" = no fallback shipped).
   using GeneralLoader = std::function<std::string()>;
+  /// Activation scales of an int8 engine (EdgeEngine::activation_params()).
+  using Scales = std::vector<edge::QuantParams>;
   /// Build an inference engine from checkpoint bytes at a precision. Must
   /// throw clear::Error on corrupt bytes (the checkpoint CRC does this).
+  /// Non-null `scales` were calibrated by an earlier build of the same blob
+  /// at the same precision: install them instead of calibrating.
   using EngineBuilder = std::function<std::unique_ptr<edge::EdgeEngine>(
-      const std::string& blob, edge::Precision precision)>;
+      const std::string& blob, edge::Precision precision,
+      const Scales* scales)>;
 
   struct Entry {
     BatchKey key;
@@ -73,6 +85,10 @@ class CheckpointCache {
   std::vector<BatchKey> resident_lru() const;
 
  private:
+  /// Build `key`'s engine from its own blob, reusing or recording its
+  /// int8 activation scales.
+  std::unique_ptr<edge::EdgeEngine> build_own(const BatchKey& key,
+                                              const std::string& blob);
   void touch(std::list<BatchKey>::iterator it);
   void evict_over_budget(const BatchKey& keep);
 
@@ -88,6 +104,9 @@ class CheckpointCache {
     std::list<BatchKey>::iterator lru_it;
   };
   std::map<BatchKey, Resident> entries_;
+  /// Scales of int8 keys built from their own blob, kept across evictions.
+  /// Outside the byte budget: one QuantParams per model stage per key.
+  std::map<BatchKey, Scales> scales_;
   CacheStats stats_;
 };
 

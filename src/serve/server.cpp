@@ -110,8 +110,9 @@ Server::Server(ModelSource source, ServeConfig config)
       sessions_(config_.session, config_.precisions, config_.max_sessions),
       cache_(
           source_.cluster_blob, source_.general_blob,
-          [this](const std::string& blob, edge::Precision p) {
-            return build_engine(blob, p);
+          [this](const std::string& blob, edge::Precision p,
+                 const CheckpointCache::Scales* scales) {
+            return build_engine(blob, p, scales);
           },
           config_.cache_budget_bytes) {
   CLEAR_CHECK_MSG(source_.n_clusters() >= 1, "model source has no clusters");
@@ -126,7 +127,7 @@ Server::Server(ModelSource source, ServeConfig config)
         "serving at int8 requires calibration_maps");
 }
 
-std::unique_ptr<edge::EdgeEngine> Server::build_engine(
+std::unique_ptr<edge::EdgeEngine> Server::load_engine(
     const std::string& blob, edge::Precision precision) {
   // Delta-stored personal checkpoints reconstruct against their recorded
   // base before the model sees them; full blobs pass through. Any
@@ -147,10 +148,21 @@ std::unique_ptr<edge::EdgeEngine> Server::build_engine(
   }
   edge::EngineConfig ec;
   ec.precision = precision;
-  auto engine = std::make_unique<edge::EdgeEngine>(
+  return std::make_unique<edge::EdgeEngine>(
       model_from_blob(source_.config.model, *payload), ec);
-  if (precision == edge::Precision::kInt8)
-    engine->calibrate(calibration_ptrs_);
+}
+
+std::unique_ptr<edge::EdgeEngine> Server::build_engine(
+    const std::string& blob, edge::Precision precision,
+    const CheckpointCache::Scales* scales) {
+  auto engine = load_engine(blob, precision);
+  if (precision == edge::Precision::kInt8) {
+    if (scales) {
+      engine->set_activation_params(*scales);
+    } else {
+      engine->calibrate(calibration_ptrs_);
+    }
+  }
   return engine;
 }
 
@@ -244,9 +256,12 @@ void Server::personalize(Session& session) {
   CLEAR_OBS_SPAN("serve.finetune");
   session.begin_finetune();
   const std::string blob = source_.cluster_blob(session.cluster());
+  // Loaded uncalibrated: edge_finetune never reads int8 activation scales,
+  // and an eval-mode calibration pass draws no randomness, so calibrating
+  // here could not change the result. int8 calibrates once, after FT.
   std::unique_ptr<edge::EdgeEngine> engine;
   try {
-    engine = build_engine(blob, session.precision());
+    engine = load_engine(blob, session.precision());
   } catch (const Error& e) {
     CLEAR_WARN("user " << session.user_id() << ": cluster "
                        << session.cluster() << " checkpoint unusable ("
@@ -254,7 +269,7 @@ void Server::personalize(Session& session) {
   }
   if (!engine && has_general_) {
     try {
-      engine = build_engine(source_.general_blob(), session.precision());
+      engine = load_engine(source_.general_blob(), session.precision());
     } catch (const Error& e) {
       CLEAR_WARN("user " << session.user_id()
                          << ": general checkpoint unusable (" << e.what()
@@ -284,7 +299,6 @@ void Server::personalize(Session& session) {
                   (session.user_id() * 0x9E3779B97F4A7C15ull);
   fc.freeze_boundary = nn::fine_tune_boundary();
   edge::edge_finetune(*engine, data, fc);
-  // Activation statistics moved with the weights; re-calibrate int8.
   if (session.precision() == edge::Precision::kInt8)
     engine->calibrate(calibration_ptrs_);
   // Durability: checkpoint the fine-tuned weights *before* set_personal_
@@ -703,7 +717,9 @@ void Server::execute(std::vector<Batch> batches) {
         ++session->predictions;
         if (!session->first_prediction_us) {
           session->first_prediction_us = e.batch.exec_us;
-          CLEAR_OBS_RECORD("serve.ttfp_us",
+          // Virtual µs, from the scheduled arrival: the `_virt_us` suffix
+          // keeps it apart from every wall-clock `_us` metric.
+          CLEAR_OBS_RECORD("serve.ttfp_virt_us",
                            e.batch.exec_us - session->first_arrival_us);
         }
         if (journal_) {
@@ -714,7 +730,7 @@ void Server::execute(std::vector<Batch> batches) {
           journal_append(std::move(rec));
         }
       }
-      CLEAR_OBS_RECORD("serve.queue_wait_us",
+      CLEAR_OBS_RECORD("serve.queue_wait_virt_us",
                        e.batch.exec_us - item.enqueue_us);
       ++counters_.ok;
       completed_.push_back(std::move(r));

@@ -240,8 +240,16 @@ class Server {
             Session* session, const std::string& why, bool admitted = true);
   /// Fine-tune `session`'s personal model from its labelled buffer.
   void personalize(Session& session);
-  std::unique_ptr<edge::EdgeEngine> build_engine(const std::string& blob,
-                                                 edge::Precision precision);
+  /// Engine from checkpoint bytes (a delta-stored blob is reconstructed
+  /// against its base first), its int8 activations not yet calibrated.
+  std::unique_ptr<edge::EdgeEngine> load_engine(const std::string& blob,
+                                                edge::Precision precision);
+  /// load_engine(), ready to serve: an int8 engine installs `scales` when
+  /// given (the cache's, from an earlier build of the same blob) and
+  /// calibrates on config.calibration_maps otherwise.
+  std::unique_ptr<edge::EdgeEngine> build_engine(
+      const std::string& blob, edge::Precision precision,
+      const CheckpointCache::Scales* scales = nullptr);
   /// The bytes to persist for a freshly fine-tuned personal checkpoint:
   /// the delta encoding when enabled and smaller, else the full blob
   /// (serve.delta.* counters record the outcome). Deterministic, so

@@ -124,6 +124,43 @@ TEST(EdgeEngine, ActivationParamsCoverEveryStage) {
     EXPECT_GT(p.scale, 0.0f);
 }
 
+TEST(EdgeEngine, InstalledScalesForwardExactlyLikeCalibration) {
+  Fixture f(6, 16);
+  EngineConfig ec;
+  ec.precision = Precision::kInt8;
+  EdgeEngine calibrated(make_model(17), ec);
+  calibrated.calibrate(f.map_ptrs());
+  // A second engine on the same weights takes the first one's scales
+  // instead of calibrating, and answers bit for bit the same.
+  EdgeEngine installed(make_model(17), ec);
+  installed.set_activation_params(calibrated.activation_params());
+  EXPECT_TRUE(installed.calibrated());
+  EXPECT_EQ(installed.resident_bytes(), calibrated.resident_bytes());
+  const Tensor batch = nn::stack_batch(f.data.maps, {0, 1, 2, 3});
+  const Tensor a = calibrated.forward(batch);
+  const Tensor b = installed.forward(batch);
+  ASSERT_EQ(a.numel(), b.numel());
+  for (std::size_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+TEST(EdgeEngine, InstalledScalesNeedOnePerStageOnAnInt8Engine) {
+  EngineConfig int8;
+  int8.precision = Precision::kInt8;
+  EdgeEngine engine(make_model(18), int8);
+  const std::size_t stages = engine.model().size() + 1;
+  EXPECT_THROW(
+      engine.set_activation_params(std::vector<QuantParams>(stages - 1)),
+      Error);
+  EXPECT_THROW(
+      engine.set_activation_params(std::vector<QuantParams>(stages + 1)),
+      Error);
+  EXPECT_FALSE(engine.calibrated());
+  EdgeEngine fp32(make_model(18), EngineConfig{});
+  EXPECT_THROW(fp32.set_activation_params(std::vector<QuantParams>(stages)),
+               Error);
+  EXPECT_FALSE(fp32.calibrated());
+}
+
 TEST(EdgeEngine, CalibrateIsNoOpForFp32) {
   Fixture f(4, 11);
   EngineConfig ec;

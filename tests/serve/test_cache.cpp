@@ -4,7 +4,10 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -20,6 +23,8 @@ namespace {
 // a CRC failure), anything else builds. The budget accounting sees the
 // *materialized engine's* resident bytes, never the blob size — blobs may
 // be delta-encoded and bear no relation to the memory the engine occupies.
+// An int8 build stands in for calibration by installing scales derived from
+// its blob's first byte, so a test can tell whose scales an engine carries.
 nn::CnnLstmConfig tiny_config() {
   nn::CnnLstmConfig c;
   c.feature_dim = 8;
@@ -35,6 +40,16 @@ struct Harness {
   std::map<std::size_t, std::string> cluster_blobs;
   std::string general_blob = std::string(100, 'g');
   std::size_t builds = 0;
+  /// Per successful build: the blob and the scales the cache handed over.
+  std::vector<std::pair<std::string, std::optional<CheckpointCache::Scales>>>
+      handed;
+
+  /// The scales an int8 build of `blob` "calibrates".
+  static CheckpointCache::Scales scales_of(const std::string& blob,
+                                           std::size_t stages) {
+    return CheckpointCache::Scales(
+        stages, edge::QuantParams{static_cast<float>(blob.front())});
+  }
 
   /// Resident size of the (identical) engine every build produces — the
   /// unit all byte-accounting expectations are phrased in.
@@ -52,15 +67,23 @@ struct Harness {
           return it == cluster_blobs.end() ? std::string() : it->second;
         },
         [this]() { return general_blob; },
-        [this](const std::string& blob, edge::Precision p) {
+        [this](const std::string& blob, edge::Precision p,
+               const CheckpointCache::Scales* scales) {
           CLEAR_CHECK_MSG(blob.rfind("corrupt", 0) != 0,
                           "synthetic checkpoint CRC mismatch");
           ++builds;
+          handed.emplace_back(blob, scales ? std::optional(*scales)
+                                           : std::nullopt);
           Rng rng(1);
           edge::EngineConfig ec;
           ec.precision = p;
-          return std::make_unique<edge::EdgeEngine>(
+          auto engine = std::make_unique<edge::EdgeEngine>(
               nn::build_cnn_lstm(tiny_config(), rng), ec);
+          if (p == edge::Precision::kInt8)
+            engine->set_activation_params(
+                scales ? *scales
+                       : scales_of(blob, engine->model().size() + 1));
+          return engine;
         },
         budget);
   }
@@ -74,6 +97,15 @@ BatchKey cluster(std::size_t id) {
 }
 
 BatchKey general() { return BatchKey{}; }
+
+BatchKey int8(BatchKey key) {
+  key.precision = edge::Precision::kInt8;
+  return key;
+}
+
+float first_scale(const CheckpointCache::Entry& e) {
+  return e.engine->activation_params().front().scale;
+}
 
 TEST(CheckpointCache, MissBuildsThenHitReuses) {
   Harness h;
@@ -232,6 +264,60 @@ TEST(CheckpointCache, PrecisionIsPartOfTheKey) {
   cache.acquire(fp16);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(CheckpointCache, Int8RebuildReusesTheScalesOfItsFirstBuild) {
+  Harness h;
+  h.cluster_blobs[0] = std::string(40, 'a');
+  CheckpointCache cache = h.make(1);  // Holds only the entry just built.
+  const float a = static_cast<float>('a');
+  const float g = static_cast<float>('g');
+  EXPECT_EQ(first_scale(*cache.acquire(int8(cluster(0)))), a);
+  EXPECT_EQ(first_scale(*cache.acquire(int8(general()))), g);
+  cache.acquire(general());
+  EXPECT_EQ(first_scale(*cache.acquire(int8(cluster(0)))), a);
+  EXPECT_EQ(first_scale(*cache.acquire(int8(general()))), g);
+  cache.acquire(general());
+  EXPECT_EQ(cache.stats().misses, 6u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  // First builds calibrate; rebuilds get the scales the first build made.
+  // fp32 keys have no scales to keep.
+  ASSERT_EQ(h.handed.size(), 6u);
+  EXPECT_FALSE(h.handed[0].second);
+  EXPECT_FALSE(h.handed[1].second);
+  EXPECT_FALSE(h.handed[2].second);
+  ASSERT_TRUE(h.handed[3].second);
+  EXPECT_EQ(h.handed[3].second->front().scale, a);
+  ASSERT_TRUE(h.handed[4].second);
+  EXPECT_EQ(h.handed[4].second->front().scale, g);
+  EXPECT_FALSE(h.handed[5].second);
+}
+
+TEST(CheckpointCache, FallbackScalesAreNeverHandedToTheOwnBlob) {
+  Harness h;
+  h.cluster_blobs[0] = "corrupt-checkpoint-bytes";
+  CheckpointCache cache = h.make(1);
+  const auto degraded = cache.acquire(int8(cluster(0)));
+  ASSERT_TRUE(degraded->fallback);
+  EXPECT_EQ(first_scale(*degraded), static_cast<float>('g'));
+  cache.acquire(general());  // Evicts the fallback entry.
+  // The cluster's own blob is readable again. Its first own build must
+  // calibrate rather than take the general blob's scales, and its rebuild
+  // reuses what that own build calibrated.
+  h.cluster_blobs[0] = std::string(40, 'a');
+  EXPECT_EQ(first_scale(*cache.acquire(int8(cluster(0)))),
+            static_cast<float>('a'));
+  cache.acquire(general());
+  EXPECT_EQ(first_scale(*cache.acquire(int8(cluster(0)))),
+            static_cast<float>('a'));
+  ASSERT_EQ(h.handed.size(), 5u);
+  EXPECT_EQ(h.handed[0].first, h.general_blob);
+  EXPECT_FALSE(h.handed[0].second);
+  EXPECT_EQ(h.handed[2].first, h.cluster_blobs[0]);
+  EXPECT_FALSE(h.handed[2].second) << "fallback scales handed to own blob";
+  ASSERT_TRUE(h.handed[4].second);
+  EXPECT_EQ(h.handed[4].second->front().scale, static_cast<float>('a'));
+  EXPECT_EQ(cache.stats().fallbacks, 1u);
 }
 
 TEST(CheckpointCache, RejectsZeroBudgetAndNullHooks) {

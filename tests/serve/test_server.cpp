@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -204,6 +205,69 @@ TEST(Server, Int8OutputsArePinnedAcrossRebuilds) {
   EXPECT_EQ(out.size(), 192u);
   EXPECT_EQ(results_digest(out), 0x7e113949ed2317fbull)
       << "digest 0x" << std::hex << results_digest(out);
+}
+
+// An evicted int8 base engine rebuilds with the activation scales its first
+// build calibrated: `edge.calibrations` counts the distinct int8 bases, not
+// the cache misses, and the answers match a cache that never evicts.
+TEST(Server, Int8BasesCalibrateOncePerServer) {
+#ifdef CLEAR_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (CLEAR_OBS=OFF)";
+#endif
+  auto& f = fixture();
+  ServeConfig sc = one_engine_cache_config({edge::Precision::kInt8});
+  sc.session.enable_finetune = false;
+  WorkloadConfig wc = small_workload();
+  wc.n_users = 12;
+  wc.requests_per_user = 16;
+
+  obs::set_enabled(true);
+  obs::reset();
+  Server evicting(f.source, sc);
+  const std::vector<ServeResult> out =
+      evicting.run(make_workload(f.dataset, wc));
+  const std::uint64_t calibrations = obs::counter("edge.calibrations").value();
+  obs::set_enabled(false);
+
+  std::set<BatchKey> bases;
+  for (const ServeResult& r : out)
+    if (r.status == ServeResult::Status::kOk) bases.insert(r.route);
+  EXPECT_EQ(evicting.cache().stats().fallbacks, 0u);
+  EXPECT_GT(evicting.cache().stats().misses, bases.size())
+      << "no int8 engine was rebuilt";
+  EXPECT_EQ(calibrations, bases.size());
+
+  // Rebuilt engines answer bit for bit like engines built once.
+  sc.cache_budget_bytes = ServeConfig{}.cache_budget_bytes;
+  Server roomy(f.source, sc);
+  expect_identical(out, roomy.run(make_workload(f.dataset, wc)));
+  EXPECT_EQ(roomy.cache().stats().evictions, 0u);
+}
+
+// personalize() fine-tunes an uncalibrated engine and calibrates it once,
+// on the fine-tuned weights.
+TEST(Server, Int8PersonalizationCalibratesOnce) {
+#ifdef CLEAR_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (CLEAR_OBS=OFF)";
+#endif
+  ServeConfig sc = one_engine_cache_config({edge::Precision::kInt8});
+  sc.session.ca_windows = 2;
+  obs::set_enabled(true);
+  Server server(fixture().source, sc);
+  server.submit(req(1, 0, 0));
+  server.submit(req(1, 1, 1000));
+  server.submit(req(1, 2, 2000, 0));
+  server.drain();
+  const std::uint64_t before = obs::counter("edge.calibrations").value();
+  server.submit(req(1, 3, 3000, 1));  // Second label: fine-tunes here.
+  const std::uint64_t after = obs::counter("edge.calibrations").value();
+  obs::set_enabled(false);
+  server.drain();
+  EXPECT_EQ(server.counters().finetunes, 1u);
+  EXPECT_EQ(after - before, 1u);
+  const std::vector<ServeResult> out = server.take_results();
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[3].route.kind, BatchKey::Kind::kPersonal);
 }
 
 TEST(Server, ServingFromArtifactsMatchesServingFromPipeline) {

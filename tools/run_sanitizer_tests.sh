@@ -11,10 +11,11 @@
 # `address` replays the wire-protocol fuzz/property suites (tests/net), the
 # artifact-container / delta-codec fuzz suites (tests/artifact), the shared
 # byte codec and format goldens (test_formats), the checkpoint and
-# pipeline.meta decoders (test_nn Checkpoint*, test_clear Artifacts*) plus
-# the fault suites under ASan+UBSAN — the frame decoder and the artifact
-# codecs chew adversarial byte streams, exactly where an out-of-bounds
-# read would hide. `obsoff`
+# pipeline.meta decoders (test_nn Checkpoint*, test_clear Artifacts*), the
+# checkpoint cache and int8 rebuild tests (test_serve CheckpointCache*,
+# Server.Int8*) plus the fault suites under ASan+UBSAN — the frame decoder
+# and the artifact codecs chew adversarial byte streams, exactly where an
+# out-of-bounds read would hide. `obsoff`
 # builds clear-cli with -DCLEAR_OBS=OFF and runs the serve smoke's golden
 # comparison against it (instrumentation compiled out must not change a
 # byte of output).
@@ -54,8 +55,9 @@ run_ubsan() {
   "$dir/tests/test_fault"
   echo "== test_formats (UBSAN, byte codec + format goldens) =="
   "$dir/tests/test_formats"
-  echo "== test_serve (UBSAN, journal framing + crash-recovery replay) =="
-  "$dir/tests/test_serve" --gtest_filter='JournalTest*:RecoveryTest*'
+  echo "== test_serve (UBSAN, journal framing + crash-recovery replay, int8 cache rebuilds) =="
+  "$dir/tests/test_serve" \
+    --gtest_filter='JournalTest*:RecoveryTest*:CheckpointCache*:Server.Int8*'
   echo "== test_kernel_equivalence (UBSAN, SIMD + fp16/int8 bit paths) =="
   "$dir/tests/test_kernel_equivalence"
   echo "== test_net (UBSAN, wire-codec fuzz/property suites) =="
@@ -81,8 +83,9 @@ run_asan() {
   "$dir/tests/test_net"
   echo "== test_fault (ASAN) =="
   "$dir/tests/test_fault"
-  echo "== test_serve (ASAN, torn/corrupt journal tails + recovery) =="
-  "$dir/tests/test_serve" --gtest_filter='JournalTest*:RecoveryTest*'
+  echo "== test_serve (ASAN, torn/corrupt journal tails + recovery, int8 cache rebuilds) =="
+  "$dir/tests/test_serve" \
+    --gtest_filter='JournalTest*:RecoveryTest*:CheckpointCache*:Server.Int8*'
   echo "== test_delta (ASAN, fuzzed containers + corrupt delta payloads) =="
   "$dir/tests/test_delta" \
     --gtest_filter='ArtifactStore.Fuzz*:ArtifactStore.Rejects*:DeltaCodec.Rejects*:DeltaCodec.RoundTrips*'

@@ -62,7 +62,7 @@ for c in serve.requests serve.batches serve.rows serve.assignments \
   jq -e --arg c "$c" '.counters[$c] > 0' metrics.json >/dev/null ||
     { echo "missing serve counter: $c" >&2; exit 1; }
 done
-for h in serve.batch_size serve.queue_wait_us serve.ttfp_us; do
+for h in serve.batch_size serve.queue_wait_virt_us serve.ttfp_virt_us; do
   jq -e --arg h "$h" '.histograms[$h].count > 0' metrics.json >/dev/null ||
     { echo "missing serve histogram: $h" >&2; exit 1; }
 done
