@@ -84,7 +84,7 @@ std::unique_ptr<edge::EdgeEngine> CheckpointCache::build_own(
   if (known != scales_.end())
     return builder_(blob, key.precision, &known->second);
   auto engine = builder_(blob, key.precision, nullptr);
-  if (key.precision == edge::Precision::kInt8 && engine->calibrated())
+  if (engine->calibrated())  // int8 only: other tiers have no scales.
     scales_.emplace(key, engine->activation_params());
   return engine;
 }
