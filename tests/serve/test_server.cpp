@@ -270,6 +270,41 @@ TEST(Server, Int8PersonalizationCalibratesOnce) {
   EXPECT_EQ(out[3].route.kind, BatchKey::Kind::kPersonal);
 }
 
+// What a row is answered must not depend on which rows share its batch: a
+// device serves one window at a time, and on the wire batch composition
+// depends on timing. The max_batch = 1 run is pinned, so a row alone answers
+// as it always has.
+TEST(Server, Int8AnswersDoNotDependOnBatching) {
+  auto& f = fixture();
+  ServeConfig sc = one_engine_cache_config(
+      {edge::Precision::kFp32, edge::Precision::kFp16, edge::Precision::kInt8});
+  sc.cache_budget_bytes = ServeConfig{}.cache_budget_bytes;
+  sc.session.enable_finetune = false;
+  WorkloadConfig wc = small_workload();
+  wc.n_users = 12;
+  wc.requests_per_user = 16;
+
+  sc.batch.max_batch = 1;
+  Server alone(f.source, sc);
+  const std::vector<ServeResult> one =
+      alone.run(make_workload(f.dataset, wc));
+  EXPECT_EQ(alone.counters().shed, 0u);
+  EXPECT_EQ(alone.counters().max_batch_rows, 1u);
+  EXPECT_EQ(results_digest(one), 0xbd06bff1e0bbd7ceull)
+      << "digest 0x" << std::hex << results_digest(one);
+
+  sc.batch.max_batch = BatchPolicy{}.max_batch;
+  Server batched(f.source, sc);
+  const std::vector<ServeResult> many =
+      batched.run(make_workload(f.dataset, wc));
+  EXPECT_EQ(batched.counters().shed, 0u);
+  std::size_t shared_int8_rows = 0;
+  for (const ServeResult& r : many)
+    shared_int8_rows +=
+        r.route.precision == edge::Precision::kInt8 && r.batch_rows > 1;
+  EXPECT_GT(shared_int8_rows, 0u) << "no int8 batch had more than one row";
+}
+
 TEST(Server, ServingFromArtifactsMatchesServingFromPipeline) {
   auto& f = fixture();
   namespace fs = std::filesystem;
