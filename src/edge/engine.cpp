@@ -42,8 +42,10 @@ void EdgeEngine::apply_weight_transform() {
       break;
   }
   // The recurrent state lives in the device's numeric format too: an
-  // int8-only accelerator re-quantizes h/c between steps (dynamic per-step
-  // scale), an fp16 device keeps them in half precision.
+  // int8-only accelerator re-quantizes h/c between steps, an fp16 device
+  // keeps them in half precision. The int8 scale is dynamic, taken per step
+  // from each batch row's own max-abs: a device serves one window at a
+  // time, so a row must answer the same alone or beside any batch-mates.
   for (std::size_t i = 0; i < model_->size(); ++i) {
     auto* lstm = dynamic_cast<nn::Lstm*>(&model_->layer(i));
     if (!lstm) continue;
@@ -56,7 +58,12 @@ void EdgeEngine::apply_weight_transform() {
         break;
       case Precision::kInt8:
         lstm->set_state_transform([](Tensor& t) {
-          fake_quantize_inplace(t, calibrate_max_abs(t.flat()));
+          const std::size_t cols = t.extent(1);
+          for (std::size_t r = 0; r < t.extent(0); ++r) {
+            float* row = t.data() + r * cols;
+            kernels::active().fake_quant_f32(
+                row, calibrate_max_abs({row, cols}).scale, cols);
+          }
         });
         break;
     }

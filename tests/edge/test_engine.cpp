@@ -113,6 +113,32 @@ TEST(EdgeEngine, Int8OutputsCorrelateWithFp32) {
   EXPECT_GE(agree, 4u);
 }
 
+// A row's logits are a function of that row alone: the batch it rides in,
+// a batch of one, and a different split of the same rows all give the same
+// bits.
+TEST(EdgeEngine, Int8RowsAnswerAsTheyDoAlone) {
+  Fixture f(8, 19);
+  EngineConfig int8;
+  int8.precision = Precision::kInt8;
+  EdgeEngine engine(make_model(20), int8);
+  engine.calibrate(f.map_ptrs());
+  const Tensor all =
+      engine.forward(nn::stack_batch(f.data.maps, {0, 1, 2, 3, 4, 5, 6, 7}));
+  const Tensor head = engine.forward(nn::stack_batch(f.data.maps, {0, 1, 2}));
+  const Tensor tail =
+      engine.forward(nn::stack_batch(f.data.maps, {3, 4, 5, 6, 7}));
+  const std::size_t classes = all.extent(1);
+  for (std::size_t row = 0; row < 8; ++row) {
+    const Tensor alone = engine.forward(nn::stack_batch(f.data.maps, {row}));
+    const Tensor& part = row < 3 ? head : tail;
+    const std::size_t part_row = row < 3 ? row : row - 3;
+    for (std::size_t c = 0; c < classes; ++c) {
+      EXPECT_EQ(all.at2(row, c), alone.at2(0, c)) << "row " << row;
+      EXPECT_EQ(all.at2(row, c), part.at2(part_row, c)) << "row " << row;
+    }
+  }
+}
+
 TEST(EdgeEngine, ActivationParamsCoverEveryStage) {
   Fixture f(4, 9);
   EngineConfig ec;
