@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -28,7 +29,11 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 }  // namespace
 
 NetServer::NetServer(serve::Server& server, NetServerConfig config)
-    : server_(server), config_(std::move(config)) {
+    : server_(server),
+      config_(std::move(config)),
+      anchor_wall_(Clock::now()),
+      read_wall_(anchor_wall_),
+      last_event_(anchor_wall_) {
   listen_fd_ = listen_tcp(config_.listen);
   port_ = local_port(listen_fd_);
 
@@ -86,25 +91,19 @@ void NetServer::run() {
         pending = pending || conn->outpos < conn->outbuf.size();
       if (!pending) break;
     }
-    int timeout_ms = -1;
-    if (stopping_)
-      timeout_ms = 100;
-    else if (config_.idle_flush_ms > 0 && server_.in_flight() > 0)
-      timeout_ms = static_cast<int>(config_.idle_flush_ms);
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+    // epoll_pwait2 takes a timespec: a timeout in whole ms would add up to
+    // 1 ms to a 2 ms batch wait.
+    timespec timeout{};
+    const int n = ::epoll_pwait2(epoll_fd_, events.data(),
+                                 static_cast<int>(events.size()),
+                                 wait_timeout(timeout), nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
-      CLEAR_CHECK_MSG(false, "epoll_wait failed: " << std::strerror(errno));
+      CLEAR_CHECK_MSG(false, "epoll_pwait2 failed: " << std::strerror(errno));
     }
     if (n == 0) {
       if (stopping_) break;  // Peers never drained us; give up.
-      if (server_.in_flight() > 0) {
-        // Idle flush: the wire went quiet mid-batch — release the tail.
-        CLEAR_OBS_COUNT("net.idle_flushes", 1);
-        server_.drain();
-        dispatch_results();
-      }
+      on_timer();
       continue;
     }
     for (int i = 0; i < n; ++i) {
@@ -134,7 +133,59 @@ void NetServer::run() {
       if (again == connections_.end()) continue;
       if (mask & EPOLLOUT) handle_writable(*again->second);
     }
+    last_event_ = Clock::now();
   }
+}
+
+std::uint64_t NetServer::virtual_now(Clock::time_point t) const {
+  return anchor_virt_us_ +
+         static_cast<std::uint64_t>(
+             std::chrono::duration_cast<std::chrono::microseconds>(
+                 t - anchor_wall_)
+                 .count());
+}
+
+const timespec* NetServer::wait_timeout(timespec& storage) const {
+  std::uint64_t wait_us = 100'000;  // Stopping: only write buffers matter.
+  if (!stopping_) {
+    if (server_.in_flight() == 0) return nullptr;
+    const Clock::time_point now = Clock::now();
+    const std::uint64_t due = server_.next_deadline_us();
+    const std::uint64_t virt = virtual_now(now);
+    wait_us = due > virt ? due - virt : 0;
+    if (config_.idle_flush_ms > 0) {
+      const Clock::time_point idle =
+          last_event_ + std::chrono::milliseconds(config_.idle_flush_ms);
+      const std::int64_t idle_us =
+          std::chrono::duration_cast<std::chrono::microseconds>(idle - now)
+              .count();
+      wait_us = idle_us > 0
+                    ? std::min(wait_us, static_cast<std::uint64_t>(idle_us))
+                    : 0;
+    }
+  }
+  storage.tv_sec = static_cast<std::time_t>(wait_us / 1'000'000);
+  storage.tv_nsec = static_cast<long>(wait_us % 1'000'000 * 1000);
+  return &storage;
+}
+
+void NetServer::on_timer() {
+  if (server_.in_flight() == 0) return;
+  const Clock::time_point now = Clock::now();
+  if (config_.idle_flush_ms > 0 &&
+      now - last_event_ >= std::chrono::milliseconds(config_.idle_flush_ms)) {
+    // Idle flush: the wire went quiet mid-batch — release everything.
+    CLEAR_OBS_COUNT("net.idle_flushes", 1);
+    server_.drain();
+  } else {
+    const std::size_t before = server_.in_flight();
+    server_.advance(virtual_now(now));
+    if (server_.in_flight() < before) {
+      ++counters_.deadline_releases;
+      CLEAR_OBS_COUNT("net.deadline_releases", 1);
+    }
+  }
+  dispatch_results();
 }
 
 void NetServer::accept_ready() {
@@ -179,6 +230,7 @@ void NetServer::handle_readable(Connection& conn) {
   while (true) {
     const IoResult r = conn.stream.read_some(buf, sizeof(buf));
     if (r.n > 0) {
+      read_wall_ = Clock::now();
       counters_.bytes_in += r.n;
       CLEAR_OBS_COUNT("net.bytes_in", static_cast<double>(r.n));
       conn.decoder.feed(buf, r.n);
@@ -329,6 +381,8 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
   routes_[{request.user_id, request.request_id}] = conn.id;
   ++conn.submitted;
   server_.submit(std::move(request));
+  anchor_virt_us_ = server_.last_arrival_us();
+  anchor_wall_ = read_wall_;
   dispatch_results();
   return true;
 }

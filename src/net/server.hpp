@@ -2,21 +2,32 @@
 //
 // A single-threaded, level-triggered epoll event loop owns every socket.
 // Frames arrive on nonblocking connections, are decoded incrementally
-// (src/net/protocol), and feed the embedded serve::Server — which keeps its
-// virtual-clock determinism: batch release and shedding are driven by the
-// arrival timestamps carried *in the frames*, never by wall-clock receive
-// times. One connection submitting in order therefore reproduces the
-// library-driven serve path bit-for-bit; multiple connections interleave at
-// the socket layer, and arrivals that would run the virtual clock backwards
-// are clamped to the server's high-water mark (counted, never reordered).
+// (src/net/protocol), and feed the embedded serve::Server on its virtual
+// clock: each request is admitted at the arrival timestamp carried *in its
+// frame*. Arrivals that would run that clock backwards (interleaved
+// connections) are clamped to the server's high-water mark (counted, never
+// reordered).
+//
+// Batches are released at their max_wait_us deadline on the wall clock, not
+// at the next arrival. The loop anchors the virtual clock at the latest
+// admitted arrival and the steady_clock time its frame was read, sleeps
+// until the earliest pending deadline on that clock, and on a wait that
+// returns no event advances the server to it (net.deadline_releases). A
+// frame already readable is always admitted first. What a request is
+// answered (prediction, probability bits, route) is a pure function of the
+// request stream, as on the library path; batch boundaries, exec_us and the
+// session state a response reports are too, as long as no deadline release
+// fires (DESIGN.md §14).
 //
 // Shutdown is drain-on-shutdown: a kShutdown frame (or stop()) flushes every
 // pending batch, delivers every result the wire can still carry, lets the
 // write buffers empty, and only then exits the loop.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,12 +46,10 @@ struct NetServerConfig {
   /// When nonempty, the bound port is written here (a single decimal line)
   /// after listen succeeds — how scripts discover an ephemeral port.
   std::string port_file;
-  /// Virtual-time batching is arrival-driven: with no further arrivals (and
-  /// no drain frame) the tail of a stream would sit in the batcher forever.
   /// After this many milliseconds of wire silence with requests in flight,
-  /// the server drains itself. 0 disables — the deterministic loopback
-  /// tests do, so batch composition stays a pure function of the arrival
-  /// stream.
+  /// the server drains everything pending (net.idle_flushes). The deadline
+  /// timer releases each batch at max_wait_us, so this fires only when
+  /// max_wait_us is longer. 0 disables.
   std::uint64_t idle_flush_ms = 50;
 };
 
@@ -59,6 +68,7 @@ struct NetCounters {
   std::uint64_t partial_drops = 0;      ///< Conn died mid-frame.
   std::uint64_t dropped_responses = 0;  ///< Result outlived its connection.
   std::uint64_t clamped_arrivals = 0;   ///< Arrivals clamped monotonic.
+  std::uint64_t deadline_releases = 0;  ///< Timer wakes releasing a batch.
 };
 
 class NetServer {
@@ -94,6 +104,17 @@ class NetServer {
     std::uint64_t submitted = 0;  ///< Requests handed to the serve layer.
   };
 
+  using Clock = std::chrono::steady_clock;
+
+  /// Virtual µs at wall time `t` on the clock anchored by the latest
+  /// admitted arrival.
+  std::uint64_t virtual_now(Clock::time_point t) const;
+  /// The next wait's timeout: until the earliest batch deadline or the idle
+  /// flush, whichever is first. Null (block until an event) when nothing
+  /// is in flight.
+  const timespec* wait_timeout(timespec& storage) const;
+  /// A wait returned no event: release what is due, then route the results.
+  void on_timer();
   void accept_ready();
   void handle_readable(Connection& conn);
   void handle_writable(Connection& conn);
@@ -123,6 +144,11 @@ class NetServer {
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< Self-pipe backing stop().
   std::uint16_t port_ = 0;
+
+  std::uint64_t anchor_virt_us_ = 0;  ///< Latest admitted arrival.
+  Clock::time_point anchor_wall_;     ///< When that arrival's frame was read.
+  Clock::time_point read_wall_;       ///< When the bytes now pumped arrived.
+  Clock::time_point last_event_;      ///< End of the last wake with events.
 
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;

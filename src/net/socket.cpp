@@ -60,6 +60,10 @@ int listen_tcp(const Endpoint& endpoint, int backlog) {
   CLEAR_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Accepted sockets inherit TCP_NODELAY from the listener (Linux). Without
+  // it, a response written while an earlier one is still unacknowledged
+  // waits for the peer's next segment.
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     const int err = errno;
     ::close(fd);

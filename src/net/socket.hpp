@@ -27,7 +27,8 @@ struct Endpoint {
 Endpoint parse_endpoint(const std::string& spec);
 
 /// Create a nonblocking listening socket bound to the endpoint
-/// (SO_REUSEADDR set). Throws clear::Error on failure.
+/// (SO_REUSEADDR and TCP_NODELAY set; accepted sockets inherit Nagle off).
+/// Throws clear::Error on failure.
 int listen_tcp(const Endpoint& endpoint, int backlog = 64);
 
 /// Blocking TCP connect. Throws clear::Error on failure.

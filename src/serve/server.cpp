@@ -468,7 +468,7 @@ void Server::submit(ServeRequest request) {
   // hit) instead of being drained one sub-batch at a time — that is what
   // makes load-shedding observable and keeps batch composition a pure
   // function of the request stream.
-  if (request.arrival_us > last_arrival_us_) flush_due(request.arrival_us);
+  if (request.arrival_us > last_arrival_us_) advance(request.arrival_us);
   last_arrival_us_ = request.arrival_us;
   ++counters_.requests;
   CLEAR_OBS_COUNT("serve.requests", 1);
@@ -598,7 +598,7 @@ void Server::submit(ServeRequest request) {
   maybe_compact();
 }
 
-void Server::flush_due(std::uint64_t now_us) {
+void Server::advance(std::uint64_t now_us) {
   // pop_due releases at most one batch per key, so looping here both drains
   // every due batch and guarantees an engine never has two batches in the
   // same parallel region.
@@ -609,7 +609,7 @@ void Server::flush_due(std::uint64_t now_us) {
   }
 }
 
-void Server::drain() { flush_due(std::numeric_limits<std::uint64_t>::max()); }
+void Server::drain() { advance(std::numeric_limits<std::uint64_t>::max()); }
 
 void Server::execute(std::vector<Batch> batches) {
   struct Exec {

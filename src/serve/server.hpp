@@ -7,6 +7,8 @@
 // with the deterministic parallel runtime executing released batches, the
 // same request stream produces bit-identical per-user predictions at any
 // --threads setting; wall time only shows up in the observability layer.
+// A wire front end may also advance() the clock from a timer: that moves
+// batch boundaries, never what a row is answered (DESIGN.md §14).
 //
 // Per request, in order: session lookup/admission → signal sanitization →
 // normalization → quality tracking (may degrade/recover the session) →
@@ -152,6 +154,18 @@ class Server {
   /// Flush every pending batch (virtual time runs to the last deadline).
   void drain();
 
+  /// Release every batch due at virtual time `now_us` (a full queue, or an
+  /// oldest deadline at or before it) without admitting anything. A wire
+  /// front end calls this from its wall-clock timer. last_arrival_us() is
+  /// left alone, so a frame stamped before `now_us` is still admitted with
+  /// its own stamp and starts the next batch.
+  void advance(std::uint64_t now_us);
+
+  /// Earliest pending deadline in virtual µs, UINT64_MAX when none.
+  std::uint64_t next_deadline_us() const {
+    return batcher_.next_deadline_us();
+  }
+
   /// Completed results accumulated so far, in completion order (moved out).
   std::vector<ServeResult> take_results();
 
@@ -226,7 +240,6 @@ class Server {
     BatchKey route;
   };
 
-  void flush_due(std::uint64_t now_us);
   void execute(std::vector<Batch> batches);
   BatchKey route_for(const Session& session) const;
   /// Drift monitor (session.drift_after > 0 only): score the request's

@@ -1,11 +1,17 @@
 // Deterministic loopback end-to-end test: the same hashed WEMAC workload
 // produces *bit-identical* detections whether it drives serve::Server
 // directly (library path) or crosses a real TCP socket through the epoll
-// front end (wire path). One connection submitting in arrival order, with
-// the server's idle flush disabled, makes batch composition a pure function
-// of the request stream on both paths — so every field, including the
-// float probability's bit pattern, must match, at --threads 1 and 4.
+// front end (wire path), at --threads 1 and 4. What a request is answered
+// (prediction, probability bits, route) must match on every run. Batch
+// boundaries, exec_us and the reported session state must match too when
+// one connection submits in arrival order and no deadline release fired: a
+// batch released by the wire's timer may end earlier than on the library
+// path, where only the next arrival releases it.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <map>
@@ -15,6 +21,7 @@
 #include <vector>
 
 #include "clear/pipeline.hpp"
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -87,11 +94,13 @@ std::map<ResultKey, serve::ServeResult> library_results(
 }
 
 std::map<ResultKey, WireResponse> wire_results(
-    const serve::ServeConfig& sc, const std::vector<serve::ServeRequest>& requests) {
+    const serve::ServeConfig& sc,
+    const std::vector<serve::ServeRequest>& requests,
+    std::uint64_t& deadline_releases) {
   serve::Server server(fixture().source, sc);
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;  // Purely arrival-driven batching: exact replay.
+  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
 
@@ -137,6 +146,7 @@ std::map<ResultKey, WireResponse> wire_results(
   server_thread.join();
   EXPECT_EQ(net_server.counters().decode_errors, 0u);
   EXPECT_EQ(net_server.counters().clamped_arrivals, 0u);
+  deadline_releases = net_server.counters().deadline_releases;
   return out;
 }
 
@@ -146,9 +156,11 @@ std::uint32_t f32_bits(float v) {
   return bits;
 }
 
+/// `timed` is false when no deadline release fired on the wire run: then
+/// every field must match, else only what each request is answered.
 void expect_wire_matches_library(
     const std::map<ResultKey, serve::ServeResult>& lib,
-    const std::map<ResultKey, WireResponse>& wire) {
+    const std::map<ResultKey, WireResponse>& wire, bool timed) {
   ASSERT_EQ(lib.size(), wire.size());
   for (const auto& [key, l] : lib) {
     const auto it = wire.find(key);
@@ -158,20 +170,21 @@ void expect_wire_matches_library(
     const WireResponse& w = it->second;
     const std::string where = "user " + std::to_string(key.first) +
                               " request " + std::to_string(key.second);
-    EXPECT_EQ(w.shed, l.status == serve::ServeResult::Status::kShed) << where;
-    EXPECT_EQ(w.error, l.error) << where;
     EXPECT_EQ(w.predicted, l.predicted) << where;
     // The detection itself, compared as raw bits: the wire must be
     // invisible to the model output.
     EXPECT_EQ(f32_bits(w.fear_probability), f32_bits(l.fear_probability))
         << where;
+    EXPECT_EQ(w.route_kind, static_cast<std::uint32_t>(l.route.kind))
+        << where;
+    EXPECT_EQ(w.route_id, l.route.id) << where;
+    if (timed) continue;
+    EXPECT_EQ(w.shed, l.status == serve::ServeResult::Status::kShed) << where;
+    EXPECT_EQ(w.error, l.error) << where;
     EXPECT_EQ(w.session_state,
               static_cast<std::uint32_t>(l.session_state))
         << where;
     EXPECT_EQ(w.degraded, l.degraded) << where;
-    EXPECT_EQ(w.route_kind, static_cast<std::uint32_t>(l.route.kind))
-        << where;
-    EXPECT_EQ(w.route_id, l.route.id) << where;
     EXPECT_EQ(w.batch_rows, l.batch_rows) << where;
     EXPECT_EQ(w.arrival_us, l.arrival_us) << where;
     EXPECT_EQ(w.exec_us, l.exec_us) << where;
@@ -187,9 +200,84 @@ TEST(Loopback, WireDetectionsMatchLibraryPathBitExactly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const NumThreadsGuard guard(threads);
     const auto lib = library_results(sc, requests);
-    const auto wire = wire_results(sc, requests);
-    expect_wire_matches_library(lib, wire);
+    std::uint64_t deadline_releases = 0;
+    const auto wire = wire_results(sc, requests, deadline_releases);
+    expect_wire_matches_library(lib, wire, deadline_releases > 0);
   }
+}
+
+/// One request stamped 7000 µs on a fresh wire server, with no drain frame:
+/// its response (the client gives up after 2 s) and the net counters.
+std::pair<WireResponse, NetCounters> serve_lone_request(
+    const serve::ServeConfig& sc, std::uint64_t idle_flush_ms) {
+  serve::Server server(fixture().source, sc);
+  NetServerConfig nc;
+  nc.listen.port = 0;
+  nc.idle_flush_ms = idle_flush_ms;
+  NetServer net_server(server, nc);
+  std::thread server_thread([&net_server] { net_server.run(); });
+  WireResponse response;
+  {
+    ClientDeadlines deadlines;
+    deadlines.io_ms = 2000;
+    BlockingClient client({"127.0.0.1", net_server.port()}, 1, deadlines);
+    const auto& samples =
+        fixture().dataset.samples_of(fixture().dataset.n_volunteers() - 1);
+    WireRequest request;
+    request.request_id = 1;
+    request.user_id = 5;
+    request.arrival_us = 7000;
+    request.map = fixture().dataset.samples()[samples[0]].feature_map;
+    client.send_request(request);
+    try {
+      EXPECT_TRUE(client.recv_response(response));
+    } catch (const Error& e) {
+      ADD_FAILURE() << e.what();  // net.timeout: nothing released the batch.
+    }
+    client.send_shutdown();
+  }
+  server_thread.join();
+  return {response, net_server.counters()};
+}
+
+// With no drain and no idle flush, a lone request is released by the
+// deadline timer max_wait_us after its frame was read, and executes at
+// exactly its virtual deadline.
+TEST(Loopback, LoneRequestIsAnsweredAtItsDeadline) {
+  const serve::ServeConfig sc = quick_serve_config();
+  const auto [response, counters] = serve_lone_request(sc, 0);
+  EXPECT_EQ(response.request_id, 1u);
+  EXPECT_EQ(response.batch_rows, 1u);
+  EXPECT_EQ(response.exec_us, response.arrival_us + sc.batch.max_wait_us);
+  EXPECT_EQ(counters.deadline_releases, 1u);
+}
+
+// The idle flush still drains a batch whose deadline lies beyond it.
+TEST(Loopback, IdleFlushDrainsWhenMaxWaitIsLonger) {
+  serve::ServeConfig sc = quick_serve_config();
+  sc.batch.max_wait_us = 60'000'000;
+  const auto [response, counters] = serve_lone_request(sc, 5);
+  EXPECT_EQ(response.request_id, 1u);
+  EXPECT_EQ(counters.deadline_releases, 0u);
+}
+
+// Nagle is off on every served connection: accepted sockets inherit
+// TCP_NODELAY from the listener.
+TEST(Loopback, AcceptedSocketsHaveNagleOff) {
+  const int listener = listen_tcp({"127.0.0.1", 0});
+  const int client = connect_tcp({"127.0.0.1", local_port(listener)});
+  pollfd pfd{listener, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  close_fd(accepted);
+  close_fd(client);
+  close_fd(listener);
 }
 
 TEST(Loopback, DrainAckReportsServerCounters) {
