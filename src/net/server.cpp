@@ -124,6 +124,9 @@ void NetServer::run() {
       if (it == connections_.end()) continue;  // Closed earlier this wake.
       Connection& conn = *it->second;
       if (mask & (EPOLLHUP | EPOLLERR)) {
+        // A peer that resets (closing with our reply unread) can leave its
+        // last frames, a shutdown say, still queued: read them first.
+        if (mask & EPOLLIN) handle_readable(conn);
         close_connection(id, "peer hung up");
         continue;
       }

@@ -14,8 +14,11 @@
 //     reply (net.dropped_responses); the serve layer still commits the
 //     session update and keeps answering everyone else.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <map>
 #include <string>
@@ -298,6 +301,37 @@ TEST(NetFault, MidRequestDropShedsCleanlyAndSessionSurvives) {
   // The serve layer saw exactly the two complete requests.
   EXPECT_EQ(server.counters().requests, 2u);
   EXPECT_EQ(server.counters().ok, 2u);
+}
+
+// A peer that sends its last frames and then resets (SO_LINGER 0 here; a
+// close with a reply still unread does the same) is still heard: the server
+// reads what was queued before it drops the connection. The shutdown and the
+// reset are both queued before run() first looks at the socket.
+TEST(NetFault, FramesQueuedBeforeAResetAreStillRead) {
+  NetFaultGuard guard;
+  serve::Server server(fixture().source, fault_serve_config());
+  NetServerConfig nc;
+  nc.listen.port = 0;
+  NetServer net_server(server, nc);
+  const int fd = connect_tcp({"127.0.0.1", net_server.port()});
+  const std::string frame = encode_shutdown();
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  const linger reset{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  close_fd(fd);
+
+  std::promise<void> done;
+  std::future<void> stopped = done.get_future();
+  std::thread server_thread([&] {
+    net_server.run();
+    done.set_value();
+  });
+  const bool heard =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  if (!heard) net_server.stop();
+  server_thread.join();
+  EXPECT_TRUE(heard) << "the shutdown queued before the reset was dropped";
 }
 
 TEST(NetFault, DroppedResponsesLoseOnlyTheReply) {
