@@ -12,8 +12,9 @@
 // at the next arrival. The loop anchors the virtual clock at the latest
 // admitted arrival and the steady_clock time its frame was read, sleeps
 // until the earliest pending deadline on that clock, and on a wait that
-// returns no event advances the server to it (net.deadline_releases). A
-// frame already readable is always admitted first. What a request is
+// returns no event advances the server to that clock's now, releasing what
+// is due (net.deadline_releases). A frame already readable is always
+// admitted first. What a request is
 // answered (prediction, probability bits, route) is a pure function of the
 // request stream, as on the library path; batch boundaries, exec_us and the
 // session state a response reports are too, as long as no deadline release

@@ -12,7 +12,8 @@
 //     connection;
 //   * a requester that hangs up before its result completes loses only the
 //     reply (net.dropped_responses); the serve layer still commits the
-//     session update and keeps answering everyone else.
+//     session update and keeps answering everyone else;
+//   * frames a peer queued before resetting its connection are still read.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 

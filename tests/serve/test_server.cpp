@@ -273,9 +273,7 @@ TEST(Server, Int8PersonalizationCalibratesOnce) {
 // What a row is answered must not depend on which rows share its batch: a
 // device serves one window at a time, and on the wire batch composition
 // depends on timing. The max_batch = 1 run is pinned, so any change to what
-// a row alone is answered shows here. (It moved once, when int8 state scales
-// became per row: calibration runs its maps as one batch, so the calibrated
-// LSTM-output scale moved with it.)
+// a row alone is answered shows here.
 TEST(Server, Int8AnswersDoNotDependOnBatching) {
   auto& f = fixture();
   ServeConfig sc = one_engine_cache_config(

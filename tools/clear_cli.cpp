@@ -215,8 +215,8 @@ const char* command_help(const std::string& command) {
        "  --port-file=FILE      write the bound port here after listen\n"
        "  --max-connections=N   concurrent connection cap (default 64)\n"
        "  --idle-flush-ms=N     drain pending batches after N ms of wire\n"
-       "                        silence; 0 keeps batching purely\n"
-       "                        arrival-driven (default 50)\n"
+       "                        silence, when --max-wait-us is longer;\n"
+       "                        0 disables (default 50)\n"
        "  --journal-dir=DIR     write-ahead session journal + compacting\n"
        "                        snapshots under DIR; refuses to start over\n"
        "                        existing journal state without --recover\n"

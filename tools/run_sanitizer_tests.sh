@@ -49,7 +49,7 @@ run_ubsan() {
   local dir="${PREFIX}-ubsan"
   cmake -B "$dir" -S . -DCLEAR_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j --target test_fault test_common test_nn test_features \
-    test_kernel_equivalence test_net test_serve test_delta test_formats
+    test_kernel_equivalence test_net test_serve test_delta test_formats test_edge
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   echo "== test_fault (UBSAN) =="
   "$dir/tests/test_fault"
@@ -60,8 +60,10 @@ run_ubsan() {
     --gtest_filter='JournalTest*:RecoveryTest*:CheckpointCache*:Server.Int8*'
   echo "== test_kernel_equivalence (UBSAN, SIMD + fp16/int8 bit paths) =="
   "$dir/tests/test_kernel_equivalence"
-  echo "== test_net (UBSAN, wire-codec fuzz/property suites) =="
-  "$dir/tests/test_net" --gtest_filter='Protocol*'
+  echo "== test_net (UBSAN, wire-codec fuzz/property suites, loopback + deadline timer) =="
+  "$dir/tests/test_net" --gtest_filter='Protocol*:Loopback.*'
+  echo "== test_edge (UBSAN, per-row int8 state quantization) =="
+  "$dir/tests/test_edge" --gtest_filter='EdgeEngine.Int8*'
   echo "== test_delta (UBSAN, artifact container + delta codec fuzz) =="
   "$dir/tests/test_delta"
   echo "== test_common (UBSAN) =="
