@@ -301,7 +301,7 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
     // Re-drain every 250ms while responses are missing: a request that was
     // still in a connection's (or the kernel's) buffer when the previous
     // drain reached the server lands in the batcher *after* it, and only
-    // another drain (or the server's idle flush) will release it.
+    // another drain (or the server's deadline timer) will release it.
     if (next_send == config.requests && !outstanding.empty() &&
         (!drain_sent || now_us - last_drain_us > 250000)) {
       bool sent_one = false;

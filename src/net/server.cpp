@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -26,14 +28,47 @@ constexpr std::uint64_t kWakeId = ~0ull;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+// epoll_pwait2 takes a timespec: a timeout in whole ms would add up to 1 ms
+// to a 2 ms batch wait. It needs glibc 2.35 to build and Linux 5.11 to run;
+// without either, the wait falls back to epoll_wait with the timeout rounded
+// up to whole ms, so a batch may be released up to 1 ms past its deadline.
+#ifndef CLEAR_HAVE_EPOLL_PWAIT2
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 35))
+#define CLEAR_HAVE_EPOLL_PWAIT2 1
+#else
+#define CLEAR_HAVE_EPOLL_PWAIT2 0
+#endif
+#endif
+
+int wait_events(int epoll_fd, std::vector<epoll_event>& events,
+                const timespec* timeout) {
+  const int max = static_cast<int>(events.size());
+#if CLEAR_HAVE_EPOLL_PWAIT2
+  static std::atomic<bool> kernel_has_pwait2{true};
+  if (kernel_has_pwait2.load(std::memory_order_relaxed)) {
+    const int n = ::epoll_pwait2(epoll_fd, events.data(), max, timeout,
+                                 nullptr);
+    if (n >= 0 || errno != ENOSYS) return n;
+    kernel_has_pwait2.store(false, std::memory_order_relaxed);
+  }
+#endif
+  int timeout_ms = -1;
+  if (timeout != nullptr) {
+    const long long ms = static_cast<long long>(timeout->tv_sec) * 1000 +
+                         (timeout->tv_nsec + 999'999) / 1'000'000;
+    timeout_ms = static_cast<int>(std::min<long long>(ms, INT_MAX));
+  }
+  return ::epoll_wait(epoll_fd, events.data(), max, timeout_ms);
+}
+
 }  // namespace
 
 NetServer::NetServer(serve::Server& server, NetServerConfig config)
     : server_(server),
       config_(std::move(config)),
       anchor_wall_(Clock::now()),
-      read_wall_(anchor_wall_),
-      last_event_(anchor_wall_) {
+      read_wall_(anchor_wall_) {
   listen_fd_ = listen_tcp(config_.listen);
   port_ = local_port(listen_fd_);
 
@@ -91,15 +126,11 @@ void NetServer::run() {
         pending = pending || conn->outpos < conn->outbuf.size();
       if (!pending) break;
     }
-    // epoll_pwait2 takes a timespec: a timeout in whole ms would add up to
-    // 1 ms to a 2 ms batch wait.
     timespec timeout{};
-    const int n = ::epoll_pwait2(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()),
-                                 wait_timeout(timeout), nullptr);
+    const int n = wait_events(epoll_fd_, events, wait_timeout(timeout));
     if (n < 0) {
       if (errno == EINTR) continue;
-      CLEAR_CHECK_MSG(false, "epoll_pwait2 failed: " << std::strerror(errno));
+      CLEAR_CHECK_MSG(false, "epoll wait failed: " << std::strerror(errno));
     }
     if (n == 0) {
       if (stopping_) break;  // Peers never drained us; give up.
@@ -136,7 +167,6 @@ void NetServer::run() {
       if (again == connections_.end()) continue;
       if (mask & EPOLLOUT) handle_writable(*again->second);
     }
-    last_event_ = Clock::now();
   }
 }
 
@@ -152,20 +182,9 @@ const timespec* NetServer::wait_timeout(timespec& storage) const {
   std::uint64_t wait_us = 100'000;  // Stopping: only write buffers matter.
   if (!stopping_) {
     if (server_.in_flight() == 0) return nullptr;
-    const Clock::time_point now = Clock::now();
     const std::uint64_t due = server_.next_deadline_us();
-    const std::uint64_t virt = virtual_now(now);
+    const std::uint64_t virt = virtual_now(Clock::now());
     wait_us = due > virt ? due - virt : 0;
-    if (config_.idle_flush_ms > 0) {
-      const Clock::time_point idle =
-          last_event_ + std::chrono::milliseconds(config_.idle_flush_ms);
-      const std::int64_t idle_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(idle - now)
-              .count();
-      wait_us = idle_us > 0
-                    ? std::min(wait_us, static_cast<std::uint64_t>(idle_us))
-                    : 0;
-    }
   }
   storage.tv_sec = static_cast<std::time_t>(wait_us / 1'000'000);
   storage.tv_nsec = static_cast<long>(wait_us % 1'000'000 * 1000);
@@ -173,20 +192,12 @@ const timespec* NetServer::wait_timeout(timespec& storage) const {
 }
 
 void NetServer::on_timer() {
-  if (server_.in_flight() == 0) return;
-  const Clock::time_point now = Clock::now();
-  if (config_.idle_flush_ms > 0 &&
-      now - last_event_ >= std::chrono::milliseconds(config_.idle_flush_ms)) {
-    // Idle flush: the wire went quiet mid-batch — release everything.
-    CLEAR_OBS_COUNT("net.idle_flushes", 1);
-    server_.drain();
-  } else {
-    const std::size_t before = server_.in_flight();
-    server_.advance(virtual_now(now));
-    if (server_.in_flight() < before) {
-      ++counters_.deadline_releases;
-      CLEAR_OBS_COUNT("net.deadline_releases", 1);
-    }
+  const std::size_t before = server_.in_flight();
+  if (before == 0) return;
+  server_.advance(virtual_now(Clock::now()));
+  if (server_.in_flight() < before) {
+    ++counters_.deadline_releases;
+    CLEAR_OBS_COUNT("net.deadline_releases", 1);
   }
   dispatch_results();
 }

@@ -47,11 +47,11 @@ struct NetServerConfig {
   /// When nonempty, the bound port is written here (a single decimal line)
   /// after listen succeeds — how scripts discover an ephemeral port.
   std::string port_file;
-  /// After this many milliseconds of wire silence with requests in flight,
-  /// the server drains everything pending (net.idle_flushes). The deadline
-  /// timer releases each batch at max_wait_us, so this fires only when
-  /// max_wait_us is longer. 0 disables.
-  std::uint64_t idle_flush_ms = 50;
+  /// Ignored. It set an idle flush that drained every pending batch after
+  /// this much wire silence; the deadline timer now releases each batch at
+  /// max_wait_us. Kept only while perfbench/src/workload.cpp still sets it
+  /// (to 0, "off"); delete it with that line.
+  std::uint64_t idle_flush_ms = 0;
 };
 
 /// Wire-level counters, deterministic for a deterministic workload (except
@@ -110,9 +110,8 @@ class NetServer {
   /// Virtual µs at wall time `t` on the clock anchored by the latest
   /// admitted arrival.
   std::uint64_t virtual_now(Clock::time_point t) const;
-  /// The next wait's timeout: until the earliest batch deadline or the idle
-  /// flush, whichever is first. Null (block until an event) when nothing
-  /// is in flight.
+  /// The next wait's timeout: until the earliest batch deadline. Null
+  /// (block until an event) when nothing is in flight.
   const timespec* wait_timeout(timespec& storage) const;
   /// A wait returned no event: release what is due, then route the results.
   void on_timer();
@@ -149,7 +148,6 @@ class NetServer {
   std::uint64_t anchor_virt_us_ = 0;  ///< Latest admitted arrival.
   Clock::time_point anchor_wall_;     ///< When that arrival's frame was read.
   Clock::time_point read_wall_;       ///< When the bytes now pumped arrived.
-  Clock::time_point last_event_;      ///< End of the last wake with events.
 
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;

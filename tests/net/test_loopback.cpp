@@ -100,7 +100,6 @@ std::map<ResultKey, WireResponse> wire_results(
   serve::Server server(fixture().source, sc);
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
 
@@ -209,11 +208,10 @@ TEST(Loopback, WireDetectionsMatchLibraryPathBitExactly) {
 /// One request stamped 7000 µs on a fresh wire server, with no drain frame:
 /// its response (the client gives up after 2 s) and the net counters.
 std::pair<WireResponse, NetCounters> serve_lone_request(
-    const serve::ServeConfig& sc, std::uint64_t idle_flush_ms) {
+    const serve::ServeConfig& sc) {
   serve::Server server(fixture().source, sc);
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = idle_flush_ms;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
   WireResponse response;
@@ -240,25 +238,16 @@ std::pair<WireResponse, NetCounters> serve_lone_request(
   return {response, net_server.counters()};
 }
 
-// With no drain and no idle flush, a lone request is released by the
-// deadline timer max_wait_us after its frame was read, and executes at
-// exactly its virtual deadline.
+// With no drain, a lone request is released by the deadline timer
+// max_wait_us after its frame was read, and executes at exactly its virtual
+// deadline.
 TEST(Loopback, LoneRequestIsAnsweredAtItsDeadline) {
   const serve::ServeConfig sc = quick_serve_config();
-  const auto [response, counters] = serve_lone_request(sc, 0);
+  const auto [response, counters] = serve_lone_request(sc);
   EXPECT_EQ(response.request_id, 1u);
   EXPECT_EQ(response.batch_rows, 1u);
   EXPECT_EQ(response.exec_us, response.arrival_us + sc.batch.max_wait_us);
   EXPECT_EQ(counters.deadline_releases, 1u);
-}
-
-// The idle flush still drains a batch whose deadline lies beyond it.
-TEST(Loopback, IdleFlushDrainsWhenMaxWaitIsLonger) {
-  serve::ServeConfig sc = quick_serve_config();
-  sc.batch.max_wait_us = 60'000'000;
-  const auto [response, counters] = serve_lone_request(sc, 5);
-  EXPECT_EQ(response.request_id, 1u);
-  EXPECT_EQ(counters.deadline_releases, 0u);
 }
 
 // Nagle is off on every served connection: accepted sockets inherit
@@ -286,7 +275,6 @@ TEST(Loopback, DrainAckReportsServerCounters) {
   serve::Server server(fixture().source, quick_serve_config());
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
   {
@@ -319,7 +307,6 @@ TEST(Loopback, ServerRejectsWrongGeometryMapsWithoutDying) {
   serve::Server server(fixture().source, quick_serve_config());
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
   {

@@ -169,7 +169,6 @@ std::map<ResultKey, WireResponse> run_exchange(
   serve::Server server(fixture().source, fault_serve_config());
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
 
@@ -246,7 +245,6 @@ TEST(NetFault, MidRequestDropShedsCleanlyAndSessionSurvives) {
   serve::Server server(fixture().source, fault_serve_config());
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
 
@@ -340,7 +338,6 @@ TEST(NetFault, DroppedResponsesLoseOnlyTheReply) {
   serve::Server server(fixture().source, fault_serve_config());
   NetServerConfig nc;
   nc.listen.port = 0;
-  nc.idle_flush_ms = 0;
   NetServer net_server(server, nc);
   std::thread server_thread([&net_server] { net_server.run(); });
 

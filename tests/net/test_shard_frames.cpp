@@ -97,7 +97,6 @@ struct WireHarness {
   static NetServerConfig make_net_config() {
     NetServerConfig nc;
     nc.listen.port = 0;
-    nc.idle_flush_ms = 0;
     return nc;
   }
 

@@ -214,9 +214,6 @@ const char* command_help(const std::string& command) {
        "                        binds an ephemeral port\n"
        "  --port-file=FILE      write the bound port here after listen\n"
        "  --max-connections=N   concurrent connection cap (default 64)\n"
-       "  --idle-flush-ms=N     drain pending batches after N ms of wire\n"
-       "                        silence, when --max-wait-us is longer;\n"
-       "                        0 disables (default 50)\n"
        "  --journal-dir=DIR     write-ahead session journal + compacting\n"
        "                        snapshots under DIR; refuses to start over\n"
        "                        existing journal state without --recover\n"
@@ -756,8 +753,6 @@ int cmd_serve(const CliArgs& args) {
     nc.max_connections =
         static_cast<std::size_t>(args.get_int("max-connections", 64));
     nc.port_file = args.get("port-file", "");
-    nc.idle_flush_ms =
-        static_cast<std::uint64_t>(args.get_int("idle-flush-ms", 50));
     serve::Server server(std::move(source), sc);
     if (!sc.journal.directory.empty()) {
       if (recover) {
