@@ -6,7 +6,8 @@
 // boundaries, exec_us and the reported session state must match too when
 // one connection submits in arrival order and no deadline release fired: a
 // batch released by the wire's timer may end earlier than on the library
-// path, where only the next arrival releases it.
+// path, where only the next arrival releases it. A run with a deadline no
+// test reaches keeps that case checked on a loaded host.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -202,6 +203,16 @@ TEST(Loopback, WireDetectionsMatchLibraryPathBitExactly) {
     std::uint64_t deadline_releases = 0;
     const auto wire = wire_results(sc, requests, deadline_releases);
     expect_wire_matches_library(lib, wire, deadline_releases > 0);
+
+    // A deadline no run reaches: the timer cannot fire, so the wire must
+    // replay the library path field for field.
+    serve::ServeConfig untimed = sc;
+    untimed.batch.max_wait_us = 60'000'000;
+    const auto lib_untimed = library_results(untimed, requests);
+    const auto wire_untimed =
+        wire_results(untimed, requests, deadline_releases);
+    EXPECT_EQ(deadline_releases, 0u);
+    expect_wire_matches_library(lib_untimed, wire_untimed, /*timed=*/false);
   }
 }
 
