@@ -47,10 +47,8 @@ struct NetServerConfig {
   /// When nonempty, the bound port is written here (a single decimal line)
   /// after listen succeeds — how scripts discover an ephemeral port.
   std::string port_file;
-  /// Ignored. It set an idle flush that drained every pending batch after
-  /// this much wire silence; the deadline timer now releases each batch at
-  /// max_wait_us. Kept only while perfbench/src/workload.cpp still sets it
-  /// (to 0, "off"); delete it with that line.
+  /// Ignored: the deadline timer releases every batch. Kept only while
+  /// perfbench/src/workload.cpp still sets it; delete it with that line.
   std::uint64_t idle_flush_ms = 0;
 };
 
