@@ -460,6 +460,45 @@ TEST_F(RecoveryTest, TornJournalTailDropsOnlyTheTornRecord) {
   EXPECT_EQ(report.personalized, report.personalized_expected);
 }
 
+// A crash between a fine-tune's trigger and its commit leaves the trigger's
+// kLabelled record in the log and no kFinetune record. Recovery must run that
+// fine-tune again: a session left ASSIGNED with a full buffer would serve its
+// cluster route, then fine-tune on one map more than the run that never
+// crashed, and answer differently from then on.
+TEST_F(RecoveryTest, CrashBetweenFinetuneTriggerAndCommitServesTheSameAnswers) {
+  auto& f = fixture();
+  Server golden(f.source, journaled_config(""));
+  golden.run(phase1());
+  const std::vector<ServeResult> golden_tail = golden.run(phase2());
+
+  crash_after_phase1(journaled_config(dir));
+  // Cut the log where its first kFinetune record starts.
+  std::optional<std::uint64_t> cut;
+  for (const JournalRecord& rec : read_journal(dir).records)
+    if (rec.type == RecordType::kFinetune) {
+      cut = rec.file_offset;
+      break;
+    }
+  ASSERT_TRUE(cut.has_value());
+  fs::resize_file(journal_log_path(dir), *cut);
+
+  Server restored(f.source, journaled_config(dir));
+  const RecoveryReport report = restored.recover();
+  EXPECT_TRUE(report.clean()) << report.str();
+  EXPECT_EQ(restored.counters().finetunes, 2u);
+  for (const std::uint64_t user : {1ull, 2ull})
+    EXPECT_FALSE(read_user_checkpoint(dir, user).empty()) << "user " << user;
+  expect_identical(golden_tail, restored.run(phase2()));
+
+  // The re-run fine-tunes were journaled: a second crash recovers them by
+  // replay, without training.
+  Server again(f.source, journaled_config(dir));
+  const RecoveryReport second = again.recover();
+  EXPECT_TRUE(second.clean()) << second.str();
+  EXPECT_EQ(second.personalized, 2u);
+  EXPECT_EQ(second.personalized_expected, 2u);
+}
+
 TEST_F(RecoveryTest, SessionTableFullFallsBackPerSessionNotPerProcess) {
   auto& f = fixture();
   crash_after_phase1(journaled_config(dir));
