@@ -16,14 +16,12 @@ namespace {
 /// Depth of parallel regions entered on this thread (workers and callers).
 thread_local int t_region_depth = 0;
 
-struct RegionGuard {
-  RegionGuard() { ++t_region_depth; }
-  ~RegionGuard() { --t_region_depth; }
-};
-
 }  // namespace
 
 bool in_parallel_region() { return t_region_depth > 0; }
+
+InlineRegion::InlineRegion() { ++t_region_depth; }
+InlineRegion::~InlineRegion() { --t_region_depth; }
 
 std::size_t hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -77,7 +75,7 @@ void ThreadPool::execute_chunks(Job& job, std::size_t worker_id) {
     const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
     if (c >= job.n_chunks) return;
     {
-      RegionGuard guard;  // Nested primitives inside fn run inline.
+      InlineRegion guard;  // Nested primitives inside fn run inline.
       try {
         job.fn(c, worker_id);
       } catch (...) {
@@ -117,7 +115,7 @@ void ThreadPool::run(
   // Inline when nested, when the pool has no workers, or when there is
   // nothing to share — same chunk order, exceptions propagate directly.
   if (t_region_depth > 0 || n_workers_ == 0 || n_chunks == 1) {
-    RegionGuard guard;
+    InlineRegion guard;
     for (std::size_t c = 0; c < n_chunks; ++c) fn(c, n_workers_);
     return;
   }
@@ -229,7 +227,7 @@ void parallel_for_chunks(
   if (pool) {
     pool->run(n_chunks, chunk_body);
   } else {
-    RegionGuard guard;
+    InlineRegion guard;
     for (std::size_t c = 0; c < n_chunks; ++c) chunk_body(c, 0);
   }
 }
@@ -260,7 +258,7 @@ void parallel_for_workers(
                     "worker index bound mismatch");
     pool->run(n_chunks, chunk_body);
   } else {
-    RegionGuard guard;
+    InlineRegion guard;
     for (std::size_t c = 0; c < n_chunks; ++c) chunk_body(c, 0);
   }
 }

@@ -86,6 +86,19 @@ std::size_t parallel_workers();
 /// parallel primitives on this thread run inline.
 bool in_parallel_region();
 
+/// Holds the current thread inside a parallel region for its lifetime, so
+/// every primitive it calls runs inline on it and never queues for the
+/// shared pool. A background thread (the serve layer's trainer) takes one,
+/// leaving the pool to the thread that serves. Results are unchanged: the
+/// inline path is bit-identical to the pooled one.
+class InlineRegion {
+ public:
+  InlineRegion();
+  ~InlineRegion();
+  InlineRegion(const InlineRegion&) = delete;
+  InlineRegion& operator=(const InlineRegion&) = delete;
+};
+
 /// RAII thread-count override (tests, benches): restores the previous
 /// setting on destruction.
 class NumThreadsGuard {

@@ -10,6 +10,7 @@
 #include <climits>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "common/error.hpp"
@@ -22,9 +23,10 @@ namespace clear::net {
 
 namespace {
 
-// epoll user-data ids for the two non-connection fds.
+// epoll user-data ids for the three non-connection fds.
 constexpr std::uint64_t kListenId = 0;
 constexpr std::uint64_t kWakeId = ~0ull;
+constexpr std::uint64_t kTrainerId = ~0ull - 1;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -88,6 +90,10 @@ NetServer::NetServer(serve::Server& server, NetServerConfig config)
   CLEAR_CHECK_MSG(
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev) == 0,
       "epoll_ctl(wake) failed: " << std::strerror(errno));
+  ev.data.u64 = kTrainerId;
+  CLEAR_CHECK_MSG(
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, server_.trainer_fd(), &ev) == 0,
+      "epoll_ctl(trainer) failed: " << std::strerror(errno));
 
   if (!config_.port_file.empty()) {
     std::ofstream out(config_.port_file, std::ios::trunc);
@@ -145,6 +151,12 @@ void NetServer::run() {
         while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
         }
         begin_shutdown();
+        continue;
+      }
+      if (id == kTrainerId) {
+        server_.clear_trainer_wake();
+        release_held(/*wait=*/false);
+        dispatch_results();
         continue;
       }
       if (id == kListenId) {
@@ -294,6 +306,7 @@ bool NetServer::pump_frames(Connection& conn) {
         if (!on_request(conn, frame)) return false;
         break;
       case FrameType::kDrain:
+        release_held(/*wait=*/true);
         server_.drain();
         dispatch_results();
         send_frame(conn, encode_drain_ack(ack_snapshot()));
@@ -380,6 +393,17 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
   request.quality = wire.quality;
   request.label = wire.label;
   request.map = std::move(wire.map);
+  routes_[{request.user_id, request.request_id}] = conn.id;
+  // Submitting behind a running fine-tune would stall every user on it:
+  // hold the frame, and every later one of the user's, until it finishes.
+  if (held_.count(request.user_id) != 0 ||
+      server_.would_block(request.user_id)) {
+    request.arrival_us = wire.arrival_us;
+    held_[request.user_id].push_back({std::move(request), read_wall_});
+    ++counters_.held_requests;
+    CLEAR_OBS_COUNT("net.held_requests", 1);
+    return true;
+  }
   // The serve layer's virtual clock must not run backwards. One connection
   // sending in order never trips this; interleaved connections (or a
   // malicious client) get clamped to the high-water mark — the request is
@@ -392,13 +416,33 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
   } else {
     request.arrival_us = wire.arrival_us;
   }
-  routes_[{request.user_id, request.request_id}] = conn.id;
-  ++conn.submitted;
   server_.submit(std::move(request));
   anchor_virt_us_ = server_.last_arrival_us();
   anchor_wall_ = read_wall_;
   dispatch_results();
   return true;
+}
+
+void NetServer::release_held(bool wait) {
+  for (auto it = held_.begin(); it != held_.end();) {
+    std::deque<HeldRequest>& queue = it->second;
+    while (!queue.empty() && (wait || !server_.would_block(it->first))) {
+      HeldRequest held = std::move(queue.front());
+      queue.pop_front();
+      // Stamped no earlier than the clock has run: the frame waited for its
+      // own user's fine-tune, which is not a clamp. A stamp that moves the
+      // clock anchors it at the wall time the frame was read.
+      serve::ServeRequest& request = held.request;
+      if (request.arrival_us > server_.last_arrival_us()) {
+        anchor_virt_us_ = request.arrival_us;
+        anchor_wall_ = held.read_wall;
+      } else {
+        request.arrival_us = server_.last_arrival_us();
+      }
+      server_.submit(std::move(request));
+    }
+    it = queue.empty() ? held_.erase(it) : std::next(it);
+  }
 }
 
 bool NetServer::on_export(Connection& conn, const Frame& frame) {
@@ -410,9 +454,10 @@ bool NetServer::on_export(Connection& conn, const Frame& frame) {
     CLEAR_WARN("net: connection " << conn.id << ": bad export: " << error);
     return false;
   }
-  // Quiesce first: the user's pending rows must complete (and their
-  // responses route) before the session freezes — exporting mid-batch
-  // would fork the session's history across shards.
+  // Quiesce first: the user's held frames and pending rows must complete
+  // (and their responses route) before the session freezes — exporting
+  // mid-batch would fork the session's history across shards.
+  release_held(/*wait=*/true);
   server_.drain();
   dispatch_results();
   WireSessionImage out;
@@ -514,6 +559,7 @@ bool NetServer::on_adopt(Connection& conn, const Frame& frame) {
 void NetServer::begin_shutdown() {
   if (stopping_) return;
   stopping_ = true;
+  release_held(/*wait=*/true);
   server_.drain();
   dispatch_results();
   // Graceful-shutdown durability: with the batcher flushed and every

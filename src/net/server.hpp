@@ -18,7 +18,15 @@
 // answered (prediction, probability bits, route) is a pure function of the
 // request stream, as on the library path; batch boundaries, exec_us and the
 // session state a response reports are too, as long as no deadline release
-// fires (DESIGN.md §14).
+// fires and no frame is held (DESIGN.md §14).
+//
+// A user whose fine-tune is still running on the serve::Server's trainer
+// thread would make submit() wait for it, so the loop holds that user's
+// frames in a per-user FIFO instead (net.held_requests) and keeps serving
+// everyone else. The trainer's wake fd is in the epoll set; when it fires,
+// each settled user's held frames are submitted in order, stamped no
+// earlier than the server's latest arrival. Drain, shutdown and export
+// submit every held frame first, waiting for the trainer if they must.
 //
 // Shutdown is drain-on-shutdown: a kShutdown frame (or stop()) flushes every
 // pending batch, delivers every result the wire can still carry, lets the
@@ -29,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ctime>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,6 +77,8 @@ struct NetCounters {
   std::uint64_t dropped_responses = 0;  ///< Result outlived its connection.
   std::uint64_t clamped_arrivals = 0;   ///< Arrivals clamped monotonic.
   std::uint64_t deadline_releases = 0;  ///< Timer wakes releasing a batch.
+  /// Requests held while their user's fine-tune ran (submitted later).
+  std::uint64_t held_requests = 0;
 };
 
 class NetServer {
@@ -100,10 +111,16 @@ class NetServer {
     std::size_t outpos = 0;
     std::uint64_t id = 0;
     bool writable_armed = false;  ///< EPOLLOUT interest currently on.
-    std::uint64_t submitted = 0;  ///< Requests handed to the serve layer.
   };
 
   using Clock = std::chrono::steady_clock;
+
+  /// A request read while its user's fine-tune was running, stamped with
+  /// its own frame's arrival.
+  struct HeldRequest {
+    serve::ServeRequest request;
+    Clock::time_point read_wall;
+  };
 
   /// Virtual µs at wall time `t` on the clock anchored by the latest
   /// admitted arrival.
@@ -120,6 +137,9 @@ class NetServer {
   /// Returns false when the connection must close (framing error).
   bool pump_frames(Connection& conn);
   bool on_request(Connection& conn, const Frame& frame);
+  /// Submit held frames in order: every user's when `wait` (blocking on
+  /// the trainer), else only those of users whose fine-tune has finished.
+  void release_held(bool wait);
   // Shard-coordination handlers (coordinator-driven; see src/shard).
   bool on_export(Connection& conn, const Frame& frame);
   bool on_import(Connection& conn, const Frame& frame);
@@ -154,6 +174,9 @@ class NetServer {
   std::vector<std::unique_ptr<Connection>> graveyard_;
   /// (user_id, request_id) -> connection id, for routing responses.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> routes_;
+  /// Per-user FIFOs of held requests; a user is present only while it has
+  /// some.
+  std::map<std::uint64_t, std::deque<HeldRequest>> held_;
   bool stopping_ = false;
 };
 

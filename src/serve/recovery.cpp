@@ -5,7 +5,12 @@
 //     fine-tune produced), so replay touches no cluster math and no
 //     training — it re-applies each mutation with the same Session calls
 //     the live path used, in the same order, which is what makes the
-//     restored table bit-identical.
+//     restored table bit-identical. The one exception is a fine-tune that
+//     started but never committed: its trigger's kLabelled record is in the
+//     log and its kFinetune record is not, so the session comes back
+//     ASSIGNED with a full labelled buffer, and recover() runs that
+//     fine-tune again (it is a pure function of the buffer) before it
+//     returns.
 //   * Records at or below the snapshot's sequence number are already folded
 //     into it (they only exist when a crash landed between snapshot commit
 //     and log truncation) and are skipped silently.
@@ -40,6 +45,8 @@ std::string RecoveryReport::str() const {
   os << "\n  sessions: " << sessions << " restored, " << personalized << "/"
      << personalized_expected << " personalized re-attached, "
      << session_fallbacks << " fell back";
+  os << "\n  fine-tunes: " << finetunes_resumed
+     << " interrupted fine-tunes run again";
   os << "\n  adaptation: " << reassessing << " re-assessing, " << shadowing
      << " shadowing restored, " << unknown_kind_records
      << " unknown-kind records";
@@ -360,6 +367,19 @@ RecoveryReport Server::recover() {
     CLEAR_OBS_COUNT("serve.journal.snapshots", 1);
   } catch (const Error& e) {
     journal_disable(e, "post-recovery snapshot");
+  }
+
+  // 5. Finish every fine-tune the crash interrupted, journaling each commit
+  // after the baseline snapshot (which holds the session ASSIGNED with its
+  // full buffer), so recovery never leaves a session mid-fine-tune.
+  std::vector<std::uint64_t> interrupted;
+  for (const Session* s : sessions_.sessions())
+    if (s->ft_ready()) interrupted.push_back(s->user_id());
+  for (const std::uint64_t user : interrupted) {
+    Session& s = *sessions_.find(user);
+    start_finetune(s, /*here=*/true);
+    commit_finetune(s);
+    ++report.finetunes_resumed;
   }
   return report;
 }

@@ -36,6 +36,9 @@ struct RecoveryReport {
   std::uint64_t personalized = 0;
   /// Sessions the journal/snapshot say *should* be personalized.
   std::uint64_t personalized_expected = 0;
+  /// Fine-tunes that started before the crash but never committed, run
+  /// again during recovery (not counted in `personalized`).
+  std::uint64_t finetunes_resumed = 0;
   /// Sessions restored mid-adaptation (drift monitor; includes sessions
   /// frozen in one of these states under DEGRADED).
   std::uint64_t reassessing = 0;

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -25,12 +26,16 @@ namespace clear::serve {
 
 namespace {
 
-std::unique_ptr<nn::Sequential> model_from_blob(
-    const nn::CnnLstmConfig& config, const std::string& blob) {
+/// Engine from a full checkpoint, its int8 activations not yet calibrated.
+std::unique_ptr<edge::EdgeEngine> engine_from_blob(
+    const nn::CnnLstmConfig& config, const std::string& blob,
+    edge::Precision precision) {
   Rng rng(1);  // Weights are overwritten by the checkpoint.
   auto model = nn::build_cnn_lstm(config, rng);
   nn::load_checkpoint(blob, *model);
-  return model;
+  edge::EngineConfig ec;
+  ec.precision = precision;
+  return std::make_unique<edge::EdgeEngine>(std::move(model), ec);
 }
 
 /// Gap-fill non-finite samples row by row (each feature's window series is
@@ -146,10 +151,7 @@ std::unique_ptr<edge::EdgeEngine> Server::load_engine(
     ++counters_.delta_loads;
     CLEAR_OBS_COUNT("serve.delta.loads", 1);
   }
-  edge::EngineConfig ec;
-  ec.precision = precision;
-  return std::make_unique<edge::EdgeEngine>(
-      model_from_blob(source_.config.model, *payload), ec);
+  return engine_from_blob(source_.config.model, *payload, precision);
 }
 
 std::unique_ptr<edge::EdgeEngine> Server::build_engine(
@@ -166,10 +168,13 @@ std::unique_ptr<edge::EdgeEngine> Server::build_engine(
   return engine;
 }
 
-std::string Server::encode_personal_blob(std::uint64_t user_id,
-                                         std::size_t cluster,
-                                         const std::string& full_blob) {
-  if (!config_.delta_checkpoints) return full_blob;
+Server::PersonalBlob Server::encode_personal_blob(
+    std::size_t cluster, const std::string& full_blob) const {
+  PersonalBlob out;
+  if (!config_.delta_checkpoints) {
+    out.bytes = full_blob;
+    return out;
+  }
   delta::EncodeStats stats;
   std::optional<std::string> enc = delta::encode(
       source_.cluster_blob(cluster),
@@ -182,17 +187,32 @@ std::string Server::encode_personal_blob(std::uint64_t user_id,
   if (!enc) {
     // Missing/corrupt base, mismatched shapes, or a delta that would not
     // be smaller: the full blob is always safe to store.
-    ++counters_.delta_full_fallbacks;
-    CLEAR_OBS_COUNT("serve.delta.full_fallbacks", 1);
-    return full_blob;
+    out.bytes = full_blob;
+    out.kind = PersonalBlob::Kind::kFullFallback;
+    return out;
   }
-  ++counters_.delta_encoded;
-  counters_.delta_bytes_saved += full_blob.size() - enc->size();
-  CLEAR_OBS_COUNT("serve.delta.encoded", 1);
-  CLEAR_OBS_COUNT("serve.delta.bytes_written", enc->size());
-  CLEAR_OBS_COUNT("serve.delta.bytes_saved",
-                  full_blob.size() - enc->size());
-  return *enc;
+  out.bytes_saved = full_blob.size() - enc->size();
+  out.bytes = std::move(*enc);
+  out.kind = PersonalBlob::Kind::kDelta;
+  return out;
+}
+
+void Server::count_encode(const PersonalBlob& blob) {
+  switch (blob.kind) {
+    case PersonalBlob::Kind::kFull:
+      break;
+    case PersonalBlob::Kind::kFullFallback:
+      ++counters_.delta_full_fallbacks;
+      CLEAR_OBS_COUNT("serve.delta.full_fallbacks", 1);
+      break;
+    case PersonalBlob::Kind::kDelta:
+      ++counters_.delta_encoded;
+      counters_.delta_bytes_saved += blob.bytes_saved;
+      CLEAR_OBS_COUNT("serve.delta.encoded", 1);
+      CLEAR_OBS_COUNT("serve.delta.bytes_written", blob.bytes.size());
+      CLEAR_OBS_COUNT("serve.delta.bytes_saved", blob.bytes_saved);
+      break;
+  }
 }
 
 BatchKey Server::route_for(const Session& session) const {
@@ -252,31 +272,79 @@ void Server::shed(const ServeRequest& request, const BatchKey& route,
   }
 }
 
-void Server::personalize(Session& session) {
-  CLEAR_OBS_SPAN("serve.finetune");
+void Server::start_finetune(Session& session, bool here) {
   session.begin_finetune();
-  const std::string blob = source_.cluster_blob(session.cluster());
+  auto job = std::make_shared<FinetuneJob>();
+  job->user_id = session.user_id();
+  job->cluster = session.cluster();
+  job->precision = session.precision();
+  job->journaled = journal_ != nullptr;
+  job->labelled = session.labelled();
+  std::packaged_task<void()> task([this, job] { run_finetune(*job); });
+  job->done = task.get_future();
+  jobs_[session.user_id()] = job;
+  if (here) {
+    task();
+  } else {
+    trainer_.post(std::move(task));
+  }
+}
+
+void Server::run_finetune(FinetuneJob& job) const {
+  CLEAR_OBS_SPAN("serve.finetune");
   // Loaded uncalibrated: edge_finetune never reads int8 activation scales,
   // and an eval-mode calibration pass draws no randomness, so calibrating
   // here could not change the result. int8 calibrates once, after FT.
+  const nn::CnnLstmConfig& model = source_.config.model;
   std::unique_ptr<edge::EdgeEngine> engine;
   try {
-    engine = load_engine(blob, session.precision());
+    engine = engine_from_blob(model, source_.cluster_blob(job.cluster),
+                              job.precision);
   } catch (const Error& e) {
-    CLEAR_WARN("user " << session.user_id() << ": cluster "
-                       << session.cluster() << " checkpoint unusable ("
-                       << e.what() << "); trying the general fallback");
+    CLEAR_WARN("user " << job.user_id << ": cluster " << job.cluster
+                       << " checkpoint unusable (" << e.what()
+                       << "); trying the general fallback");
   }
   if (!engine && has_general_) {
     try {
-      engine = load_engine(source_.general_blob(), session.precision());
+      engine = engine_from_blob(model, source_.general_blob(), job.precision);
     } catch (const Error& e) {
-      CLEAR_WARN("user " << session.user_id()
-                         << ": general checkpoint unusable (" << e.what()
-                         << ")");
+      CLEAR_WARN("user " << job.user_id << ": general checkpoint unusable ("
+                         << e.what() << ")");
     }
   }
-  if (!engine) {
+  if (!engine) return;
+
+  nn::MapDataset data;
+  for (const LabelledMap& m : job.labelled) {
+    data.maps.push_back(&m.map);
+    data.labels.push_back(m.label > 0 ? 1 : 0);
+  }
+  edge::EdgeFinetuneConfig fc;
+  fc.train = source_.config.finetune;
+  fc.train.seed = source_.config.seed ^ 0x5EEDull ^
+                  (job.user_id * 0x9E3779B97F4A7C15ull);
+  fc.freeze_boundary = nn::fine_tune_boundary();
+  edge::edge_finetune(*engine, data, fc);
+  if (job.precision == edge::Precision::kInt8)
+    engine->calibrate(calibration_ptrs_);
+  if (job.journaled)
+    job.blob = encode_personal_blob(job.cluster,
+                                    nn::encode_checkpoint(engine->model()));
+  job.engine = std::move(engine);
+}
+
+void Server::commit_finetune(Session& session) {
+  const auto it = jobs_.find(session.user_id());
+  CLEAR_CHECK_MSG(it != jobs_.end(),
+                  "user " << session.user_id() << " has no fine-tune to commit");
+  const std::shared_ptr<FinetuneJob> job = std::move(it->second);
+  jobs_.erase(it);
+  if (job->done.wait_for(std::chrono::seconds(0)) !=
+      std::future_status::ready)
+    CLEAR_OBS_COUNT("serve.finetune.commit_waits", 1);
+  job->done.get();  // Rethrows what the job threw.
+  if (!job->engine) {
     ++counters_.finetune_failures;
     session.abort_finetune();
     if (journal_) {
@@ -287,33 +355,19 @@ void Server::personalize(Session& session) {
     }
     return;
   }
-
-  nn::MapDataset data;
-  for (const LabelledMap& m : session.labelled()) {
-    data.maps.push_back(&m.map);
-    data.labels.push_back(m.label > 0 ? 1 : 0);
-  }
-  edge::EdgeFinetuneConfig fc;
-  fc.train = source_.config.finetune;
-  fc.train.seed = source_.config.seed ^ 0x5EEDull ^
-                  (session.user_id() * 0x9E3779B97F4A7C15ull);
-  fc.freeze_boundary = nn::fine_tune_boundary();
-  edge::edge_finetune(*engine, data, fc);
-  if (session.precision() == edge::Precision::kInt8)
-    engine->calibrate(calibration_ptrs_);
-  // Durability: checkpoint the fine-tuned weights *before* set_personal_
-  // engine consumes them, and land the checkpoint on disk before the
-  // kFinetune record that references it — recovery must never find a
-  // record without its backing blob unless the write was torn.
-  std::string ckpt_blob;
-  if (journal_) {
-    ckpt_blob = encode_personal_blob(session.user_id(), session.cluster(),
-                                     nn::encode_checkpoint(engine->model()));
-  }
-  session.set_personal_engine(std::move(engine));
+  if (job->journaled) count_encode(job->blob);
+  session.set_personal_engine(std::move(job->engine));
   ++counters_.finetunes;
   CLEAR_OBS_COUNT("serve.finetunes", 1);
+  // Durability: land the checkpoint on disk before the kFinetune record
+  // that references it — recovery must never find a record without its
+  // backing blob unless the write was torn. Both stay on this thread: after
+  // a drift promotion a session can fine-tune again while an older
+  // kFinetune record of it still pins the old file's size and CRC, and a
+  // write made off this thread could land before a crash that loses this
+  // record; replay would then demote the session for good.
   if (journal_) {
+    const std::string& ckpt_blob = job->blob.bytes;
     try {
       write_user_checkpoint(config_.journal.directory, session.user_id(),
                             ckpt_blob, config_.journal.fsync);
@@ -330,6 +384,13 @@ void Server::personalize(Session& session) {
     rec.ckpt_crc = crc32(ckpt_blob);
     journal_append(std::move(rec));
   }
+}
+
+bool Server::would_block(std::uint64_t user_id) const {
+  const auto it = jobs_.find(user_id);
+  return it != jobs_.end() &&
+         it->second->done.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready;
 }
 
 void Server::drift_monitor(Session& session, const Tensor& normalized_map) {
@@ -463,6 +524,11 @@ void Server::submit(ServeRequest request) {
                   "request arrivals must be nondecreasing ("
                       << request.arrival_us << " after " << last_arrival_us_
                       << ")");
+  // The user's next request is the commit point the stream fixes for a
+  // fine-tune it started: until here the session answered on its cluster
+  // route.
+  if (jobs_.count(request.user_id) != 0)
+    commit_finetune(*sessions_.find(request.user_id));
   // Release due batches only when virtual time actually advances: a burst
   // sharing one timestamp piles into the queues (shedding when a bound is
   // hit) instead of being drained one sub-batch at a time — that is what
@@ -568,7 +634,7 @@ void Server::submit(ServeRequest request) {
         rec.map = request.map;
         journal_append(std::move(rec));
       }
-      if (session->ft_ready()) personalize(*session);
+      if (session->ft_ready()) start_finetune(*session);
     }
     // Online adaptation: score the window against the clustering and drive
     // the RE_ASSESSING/SHADOWING machine. Runs after CA/FT so a session can
@@ -609,7 +675,12 @@ void Server::advance(std::uint64_t now_us) {
   }
 }
 
-void Server::drain() { advance(std::numeric_limits<std::uint64_t>::max()); }
+void Server::drain() {
+  // Commit first: the kFinetune records then precede the kPredict records
+  // of the final flush in the journal.
+  while (!jobs_.empty()) commit_finetune(*sessions_.find(jobs_.begin()->first));
+  advance(std::numeric_limits<std::uint64_t>::max());
+}
 
 void Server::execute(std::vector<Batch> batches) {
   struct Exec {
@@ -757,6 +828,8 @@ void Server::open_journal() {
   CLEAR_CHECK_MSG(!config_.journal.directory.empty(),
                   "journal directory is not configured");
   CLEAR_CHECK_MSG(!journal_, "journal is already open");
+  CLEAR_CHECK_MSG(jobs_.empty(),
+                  "open_journal with a fine-tune in flight (drain first)");
   CLEAR_CHECK_MSG(
       !journal_state_exists(config_.journal.directory),
       "journal directory '"
@@ -841,15 +914,20 @@ std::optional<Server::ExportedSession> Server::export_session(
     CLEAR_CHECK_MSG(p.request.user_id != user_id,
                     "export with requests still pending for user "
                         << user_id << " (drain first)");
+  CLEAR_CHECK_MSG(jobs_.count(user_id) == 0,
+                  "export with a fine-tune still in flight for user "
+                      << user_id << " (drain first)");
   ExportedSession out;
   out.image = session->image();
   if (session->has_personal_engine()) {
-    // Re-encode through the same deterministic path personalize() persists
-    // with, so the wire blob carries the delta when one is stored and the
-    // gaining shard's restore decodes to the bit-identical checkpoint.
-    out.checkpoint = encode_personal_blob(
-        user_id, session->cluster(),
+    // Re-encode through the same deterministic path the fine-tune's commit
+    // persisted, so the wire blob carries the delta when one is stored and
+    // the gaining shard's restore decodes to the bit-identical checkpoint.
+    const PersonalBlob blob = encode_personal_blob(
+        session->cluster(),
         nn::encode_checkpoint(session->personal_engine()->model()));
+    count_encode(blob);
+    out.checkpoint = blob.bytes;
   }
   CLEAR_OBS_COUNT("serve.migration.exports", 1);
   return out;
@@ -861,6 +939,7 @@ void Server::retire_session(std::uint64_t user_id) {
   if (session->adapting() && drift_active_ > 0) --drift_active_;
   sessions_.erase(user_id);
   retired_personal_.erase(user_id);
+  jobs_.erase(user_id);  // A running job finishes unread.
   CLEAR_OBS_COUNT("serve.migration.retired", 1);
   CLEAR_OBS_GAUGE("serve.sessions", sessions_.size());
   // Compact so the snapshot stops claiming the session; the orphaned
@@ -889,9 +968,9 @@ bool Server::import_session(const SessionImage& image,
     }
   }
   if (journal_ && image.has_personal) {
-    // Land the checkpoint before the session becomes visible — same order
-    // personalize() uses — so a crash right after the import's snapshot
-    // still recovers the personal engine.
+    // Land the checkpoint before the session becomes visible — the order a
+    // fine-tune's commit uses — so a crash right after the import's
+    // snapshot still recovers the personal engine.
     try {
       fault::maybe_fail_migrate_io("import checkpoint store");
       write_user_checkpoint(config_.journal.directory, user, checkpoint,
@@ -949,8 +1028,9 @@ std::size_t Server::rewrite_user_checkpoints() {
         continue;
       }
     }
-    const std::string next =
-        encode_personal_blob(s->user_id(), s->cluster(), full);
+    const PersonalBlob encoded = encode_personal_blob(s->cluster(), full);
+    count_encode(encoded);
+    const std::string& next = encoded.bytes;
     if (next == stored) continue;
     try {
       write_user_checkpoint(config_.journal.directory, s->user_id(), next,

@@ -10,16 +10,20 @@
 // A wire front end may also advance() the clock from a timer: that moves
 // batch boundaries, never what a row is answered (DESIGN.md §14).
 //
-// Per request, in order: session lookup/admission → signal sanitization →
-// normalization → quality tracking (may degrade/recover the session) →
-// cold-start cluster assignment from buffered unlabeled windows → labelled
-// buffering + synchronous fine-tuning → routing to a (model, precision)
-// batch key → micro-batcher admission (or an addressed shed error).
+// Per request, in order: session lookup/admission → commit of the user's
+// finished fine-tune → signal sanitization → normalization → quality
+// tracking (may degrade/recover the session) → cold-start cluster
+// assignment from buffered unlabeled windows → labelled buffering (a full
+// buffer starts a fine-tune on the trainer thread) → routing to a (model,
+// precision) batch key → micro-batcher admission (or an addressed shed
+// error).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "serve/journal.hpp"
 #include "serve/recovery.hpp"
 #include "serve/session.hpp"
+#include "serve/trainer.hpp"
 
 namespace clear {
 class Error;
@@ -147,12 +152,24 @@ class Server {
  public:
   Server(ModelSource source, ServeConfig config);
 
-  /// Feed one request. Arrival times must be nondecreasing across calls;
-  /// time advancing releases due batches before the request is processed.
+  /// Feed one request. Arrival times must be nondecreasing across calls.
+  /// A fine-tune the user started earlier commits first (waiting for the
+  /// trainer if it is still running); then time advancing releases due
+  /// batches before the request is processed.
   void submit(ServeRequest request);
 
-  /// Flush every pending batch (virtual time runs to the last deadline).
+  /// Commit every outstanding fine-tune, then flush every pending batch
+  /// (virtual time runs to the last deadline).
   void drain();
+
+  /// True while `user_id` has a fine-tune still running on the trainer
+  /// thread, so that a submit() for the user would wait for it. A front end
+  /// holds the user's frames until it turns false (trainer_fd()).
+  bool would_block(std::uint64_t user_id) const;
+  /// Readable after a fine-tune finishes on the trainer thread. An event
+  /// loop polls it, calls clear_trainer_wake(), and re-checks would_block().
+  int trainer_fd() const { return trainer_.wake_fd(); }
+  void clear_trainer_wake() { trainer_.clear_wake(); }
 
   /// Release every batch due at virtual time `now_us` (a full queue, or an
   /// oldest deadline at or before it) without admitting anything. A wire
@@ -177,12 +194,16 @@ class Server {
   /// Start journaling into config.journal.directory, which must be fresh —
   /// a directory that already holds journal state is refused (recover()
   /// instead; an accidental fresh open would orphan a recoverable run).
+  /// No fine-tune may be in flight (drain() first).
   void open_journal();
   /// Rebuild this (freshly constructed, never-served-on) server from
   /// config.journal.directory — snapshot restore + journal replay, personal
   /// engines re-attached from CRC-verified checkpoints — then continue
-  /// journaling into a compacted log. An empty/missing directory is a
-  /// fresh start. Corruption falls back per session, never per process.
+  /// journaling into a compacted log. A fine-tune that started before the
+  /// crash but never committed runs again here, on the calling thread,
+  /// and is journaled after the post-recovery snapshot. An empty/missing
+  /// directory is a fresh start. Corruption falls back per session, never
+  /// per process.
   RecoveryReport recover();
   /// Write a compacting snapshot now (no-op unless journaling). Called on
   /// graceful shutdown so restarts replay nothing.
@@ -192,19 +213,20 @@ class Server {
   // -- Shard migration (src/shard checkpoint handoff) ------------------------
   /// One session frozen for a migration handoff: the snapshot-format image
   /// plus the personal fine-tuned checkpoint blob (empty when the session
-  /// has none). The blob is the same bytes personalize() persisted to
-  /// user_<id>.ckpt, so a restore on the gaining shard is bit-identical.
+  /// has none). The blob is the same bytes the fine-tune's commit persisted
+  /// to user_<id>.ckpt, so a restore on the gaining shard is bit-identical.
   struct ExportedSession {
     SessionImage image;
     std::string checkpoint;
   };
   /// Freeze one session for handoff. Non-mutating; nullopt when the user
   /// has no session here. The caller must drain() first — exporting with
-  /// the user's rows still pending would fork the session's history.
+  /// the user's rows pending or fine-tune in flight would fork the
+  /// session's history.
   std::optional<ExportedSession> export_session(std::uint64_t user_id);
-  /// Drop a handed-off session and snapshot, so this shard's journal no
-  /// longer claims it. The user's next request *here* starts COLD (the
-  /// coordinator routes them elsewhere).
+  /// Drop a handed-off session (and any fine-tune it has in flight) and
+  /// snapshot, so this shard's journal no longer claims it. The user's next
+  /// request *here* starts COLD (the coordinator routes them elsewhere).
   void retire_session(std::uint64_t user_id);
   /// Install a migrated session. Returns false — counting
   /// serve.migration.failed, importing nothing — when the user already has
@@ -240,6 +262,29 @@ class Server {
     BatchKey route;
   };
 
+  /// A personal checkpoint encoded for storage, and how (the commit counts
+  /// the outcome in serve.delta.*).
+  struct PersonalBlob {
+    enum class Kind { kFull, kDelta, kFullFallback };
+    std::string bytes;
+    Kind kind = Kind::kFull;
+    std::size_t bytes_saved = 0;  ///< Full minus delta size (kDelta only).
+  };
+
+  /// One fine-tune: inputs copied on the serving thread when it starts,
+  /// outputs written by whichever thread runs it and read back by the
+  /// commit once `done` is ready.
+  struct FinetuneJob {
+    std::uint64_t user_id = 0;
+    std::size_t cluster = 0;
+    edge::Precision precision = edge::Precision::kFp32;
+    bool journaled = false;  ///< Encode the checkpoint for storage.
+    std::vector<LabelledMap> labelled;
+    std::unique_ptr<edge::EdgeEngine> engine;  ///< Null: no usable base.
+    PersonalBlob blob;
+    std::future<void> done;
+  };
+
   void execute(std::vector<Batch> batches);
   BatchKey route_for(const Session& session) const;
   /// Drift monitor (session.drift_after > 0 only): score the request's
@@ -251,8 +296,17 @@ class Server {
   /// record then carries the request count for replay.
   void shed(const ServeRequest& request, const BatchKey& route,
             Session* session, const std::string& why, bool admitted = true);
-  /// Fine-tune `session`'s personal model from its labelled buffer.
-  void personalize(Session& session);
+  /// Enter FINE_TUNING and start a job on the session's labelled buffer:
+  /// on the trainer thread, or right here when `here` (recovery).
+  void start_finetune(Session& session, bool here = false);
+  /// The job's work: load the cluster (else general) base, fine-tune,
+  /// calibrate int8, encode the checkpoint. Touches no counter and writes
+  /// no file, so it can run on the trainer thread.
+  void run_finetune(FinetuneJob& job) const;
+  /// Install the session's finished fine-tune (waiting for it if it is
+  /// still running), count it, and persist it: user_<id>.ckpt, then the
+  /// kFinetune record.
+  void commit_finetune(Session& session);
   /// Engine from checkpoint bytes (a delta-stored blob is reconstructed
   /// against its base first), its int8 activations not yet calibrated.
   std::unique_ptr<edge::EdgeEngine> load_engine(const std::string& blob,
@@ -264,11 +318,13 @@ class Server {
       const std::string& blob, edge::Precision precision,
       const CheckpointCache::Scales* scales = nullptr);
   /// The bytes to persist for a freshly fine-tuned personal checkpoint:
-  /// the delta encoding when enabled and smaller, else the full blob
-  /// (serve.delta.* counters record the outcome). Deterministic, so
-  /// export_session() reproduces exactly what personalize() stored.
-  std::string encode_personal_blob(std::uint64_t user_id, std::size_t cluster,
-                                   const std::string& full_blob);
+  /// the delta encoding when enabled and smaller, else the full blob.
+  /// Deterministic, so export_session() reproduces exactly what the
+  /// fine-tune's commit stored.
+  PersonalBlob encode_personal_blob(std::size_t cluster,
+                                    const std::string& full_blob) const;
+  /// Record an encode's outcome in the serve.delta.* counters.
+  void count_encode(const PersonalBlob& blob);
   /// Append one record. Never throws: a journal failure warns, counts
   /// serve.journal.io_errors, and disables journaling — the serving path
   /// must survive a full disk.
@@ -305,6 +361,11 @@ class Server {
   /// Sessions currently mid-adaptation (RE_ASSESSING/SHADOWING, live or
   /// frozen under DEGRADED); feeds the serve.drift.adapting gauge.
   std::size_t drift_active_ = 0;
+  /// Fine-tunes started and not yet committed, one per FINE_TUNING session.
+  std::map<std::uint64_t, std::shared_ptr<FinetuneJob>> jobs_;
+  /// Last member: destroyed first, so a running job never outlives the
+  /// members it reads.
+  TrainerThread trainer_;
 };
 
 }  // namespace clear::serve

@@ -137,11 +137,13 @@ void Session::set_personal_engine(
 }
 
 SessionImage Session::image() const {
-  CLEAR_CHECK_MSG(state_ != SessionState::kFineTuning,
-                  "cannot image a session mid-fine-tune");
   SessionImage img;
   img.user_id = user_id_;
-  img.state = state_;
+  // A fine-tune in flight is journaled only when it commits: until then
+  // the durable state is the ASSIGNED session with its full buffer, from
+  // which recovery runs the fine-tune again.
+  img.state = state_ == SessionState::kFineTuning ? SessionState::kAssigned
+                                                  : state_;
   img.saved_state = saved_state_;
   img.bad_streak = bad_streak_;
   img.good_streak = good_streak_;

@@ -8,8 +8,10 @@
 //
 // COLD/ASSIGNING users are served by the population-general model while the
 // session buffers unlabeled observations for Cluster Assignment; ASSIGNED
-// users get their cluster's pre-trained model; PERSONALIZED users get their
-// own fine-tuned engine (owned by the session).
+// users get their cluster's pre-trained model, and so do FINE_TUNING users
+// while the server's trainer thread fine-tunes; PERSONALIZED users get their
+// own fine-tuned engine (owned by the session), installed at the user's next
+// request.
 //
 // DEGRADED is a parallel failure state: `degrade_after` consecutive requests
 // below the signal-quality floor park the session on the general model (a
@@ -155,7 +157,9 @@ class Session {
   void add_labelled(Tensor normalized_map, int label);
   bool ft_ready() const;
   const std::vector<LabelledMap>& labelled() const { return labelled_; }
-  /// Enter FINE_TUNING (the server runs the training synchronously).
+  /// Enter FINE_TUNING. The server trains on its trainer thread and commits
+  /// at the user's next request (or drain), serving the cluster route until
+  /// then.
   void begin_finetune();
   /// Install the fine-tuned engine and advance to PERSONALIZED.
   void set_personal_engine(std::unique_ptr<edge::EdgeEngine> engine);
@@ -211,8 +215,9 @@ class Session {
   void demote_to_incumbent();
 
   // -- Durability ------------------------------------------------------------
-  /// Freeze the full session state. Never called mid-fine-tune (the server
-  /// fine-tunes synchronously), so FINE_TUNING never appears in an image.
+  /// Freeze the full session state. A FINE_TUNING session images as
+  /// ASSIGNED with its full labelled buffer (the fine-tune is journaled only
+  /// when it commits), so FINE_TUNING never appears in an image.
   SessionImage image() const;
   /// Rebuild from an image. `engine` must be non-null exactly when
   /// `image.has_personal` — recovery demotes the image first when the

@@ -4,18 +4,22 @@
 // front end (wire path), at --threads 1 and 4. What a request is answered
 // (prediction, probability bits, route) must match on every run. Batch
 // boundaries, exec_us and the reported session state must match too when
-// one connection submits in arrival order and no deadline release fired: a
-// batch released by the wire's timer may end earlier than on the library
-// path, where only the next arrival releases it. A run with a deadline no
-// test reaches keeps that case checked on a loaded host.
+// one connection submits in arrival order, no deadline release fired and no
+// frame was held: a batch released by the wire's timer may end earlier than
+// on the library path, where only the next arrival releases it, and a frame
+// held while its user's fine-tune runs is submitted late. A run with a
+// deadline no test reaches and fine-tuning off keeps that case checked on a
+// loaded host.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,6 +71,11 @@ LoopbackFixture& fixture() {
   return f;
 }
 
+/// Fine-tune epochs that make one fine-tune on two maps last far longer
+/// than a batch wait: ~1 ms per epoch in a -O2 build on a 4-core x86 VM,
+/// against a 2 ms max_wait_us.
+constexpr std::size_t kSlowFinetuneEpochs = 100;
+
 serve::ServeConfig quick_serve_config() {
   serve::ServeConfig sc;
   sc.batch.max_batch = 4;
@@ -94,10 +103,11 @@ std::map<ResultKey, serve::ServeResult> library_results(
   return out;
 }
 
+/// `untimed` is set when the run fired no deadline release and held no
+/// frame, so every field must replay the library path.
 std::map<ResultKey, WireResponse> wire_results(
     const serve::ServeConfig& sc,
-    const std::vector<serve::ServeRequest>& requests,
-    std::uint64_t& deadline_releases) {
+    const std::vector<serve::ServeRequest>& requests, bool& untimed) {
   serve::Server server(fixture().source, sc);
   NetServerConfig nc;
   nc.listen.port = 0;
@@ -146,7 +156,8 @@ std::map<ResultKey, WireResponse> wire_results(
   server_thread.join();
   EXPECT_EQ(net_server.counters().decode_errors, 0u);
   EXPECT_EQ(net_server.counters().clamped_arrivals, 0u);
-  deadline_releases = net_server.counters().deadline_releases;
+  untimed = net_server.counters().deadline_releases == 0 &&
+            net_server.counters().held_requests == 0;
   return out;
 }
 
@@ -156,11 +167,11 @@ std::uint32_t f32_bits(float v) {
   return bits;
 }
 
-/// `timed` is false when no deadline release fired on the wire run: then
-/// every field must match, else only what each request is answered.
+/// When `untimed`, every field must match, else only what each request is
+/// answered.
 void expect_wire_matches_library(
     const std::map<ResultKey, serve::ServeResult>& lib,
-    const std::map<ResultKey, WireResponse>& wire, bool timed) {
+    const std::map<ResultKey, WireResponse>& wire, bool untimed) {
   ASSERT_EQ(lib.size(), wire.size());
   for (const auto& [key, l] : lib) {
     const auto it = wire.find(key);
@@ -178,7 +189,7 @@ void expect_wire_matches_library(
     EXPECT_EQ(w.route_kind, static_cast<std::uint32_t>(l.route.kind))
         << where;
     EXPECT_EQ(w.route_id, l.route.id) << where;
-    if (timed) continue;
+    if (!untimed) continue;
     EXPECT_EQ(w.shed, l.status == serve::ServeResult::Status::kShed) << where;
     EXPECT_EQ(w.error, l.error) << where;
     EXPECT_EQ(w.session_state,
@@ -200,19 +211,19 @@ TEST(Loopback, WireDetectionsMatchLibraryPathBitExactly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const NumThreadsGuard guard(threads);
     const auto lib = library_results(sc, requests);
-    std::uint64_t deadline_releases = 0;
-    const auto wire = wire_results(sc, requests, deadline_releases);
-    expect_wire_matches_library(lib, wire, deadline_releases > 0);
+    bool untimed = false;
+    const auto wire = wire_results(sc, requests, untimed);
+    expect_wire_matches_library(lib, wire, untimed);
 
-    // A deadline no run reaches: the timer cannot fire, so the wire must
-    // replay the library path field for field.
-    serve::ServeConfig untimed = sc;
-    untimed.batch.max_wait_us = 60'000'000;
-    const auto lib_untimed = library_results(untimed, requests);
-    const auto wire_untimed =
-        wire_results(untimed, requests, deadline_releases);
-    EXPECT_EQ(deadline_releases, 0u);
-    expect_wire_matches_library(lib_untimed, wire_untimed, /*timed=*/false);
+    // A deadline no run reaches and no fine-tune to hold a frame behind:
+    // the wire must replay the library path field for field.
+    serve::ServeConfig fixed = sc;
+    fixed.batch.max_wait_us = 60'000'000;
+    fixed.session.enable_finetune = false;
+    const auto lib_fixed = library_results(fixed, requests);
+    const auto wire_fixed = wire_results(fixed, requests, untimed);
+    EXPECT_TRUE(untimed);
+    expect_wire_matches_library(lib_fixed, wire_fixed, /*untimed=*/true);
   }
 }
 
@@ -259,6 +270,68 @@ TEST(Loopback, LoneRequestIsAnsweredAtItsDeadline) {
   EXPECT_EQ(response.batch_rows, 1u);
   EXPECT_EQ(response.exec_us, response.arrival_us + sc.batch.max_wait_us);
   EXPECT_EQ(counters.deadline_releases, 1u);
+}
+
+// A fine-tune runs on the trainer thread, and only its own user's frames
+// wait for it: user 1's window after its trigger is held until the personal
+// engine commits, while user 2, who sends later, is answered first.
+TEST(Loopback, OtherUsersAreAnsweredWhileAFinetuneRuns) {
+  serve::ModelSource slow = fixture().source;
+  slow.config.finetune.epochs = kSlowFinetuneEpochs;
+  serve::ServeConfig sc = quick_serve_config();
+  sc.session.ca_windows = 2;
+  serve::Server server(std::move(slow), sc);
+  NetServerConfig nc;
+  nc.listen.port = 0;
+  NetServer net_server(server, nc);
+  std::thread server_thread([&net_server] { net_server.run(); });
+
+  const auto& samples =
+      fixture().dataset.samples_of(fixture().dataset.n_volunteers() - 1);
+  const auto request = [&](std::uint64_t user, std::uint64_t id,
+                           std::uint64_t t, std::optional<int> label) {
+    WireRequest r;
+    r.request_id = id;
+    r.user_id = user;
+    r.arrival_us = t;
+    r.label = label;
+    r.map = fixture().dataset.samples()[samples[id % samples.size()]]
+                .feature_map;
+    return r;
+  };
+  std::vector<ResultKey> order;
+  std::map<ResultKey, WireResponse> responses;
+  {
+    BlockingClient client({"127.0.0.1", net_server.port()});
+    client.send_request(request(1, 0, 0, std::nullopt));
+    client.send_request(request(1, 1, 1000, std::nullopt));
+    client.send_request(request(1, 2, 2000, 0));
+    client.send_request(request(1, 3, 3000, 1));  // Starts the fine-tune.
+    client.send_request(request(1, 4, 4000, std::nullopt));
+    client.send_request(request(2, 0, 5000, std::nullopt));
+    while (order.size() < 6) {
+      WireResponse response;
+      ASSERT_TRUE(client.recv_response(response));
+      order.emplace_back(response.user_id, response.request_id);
+      responses[order.back()] = response;
+    }
+    client.send_shutdown();
+  }
+  server_thread.join();
+
+  const ResultKey trigger{1, 3};
+  const ResultKey after{1, 4};
+  const ResultKey other{2, 0};
+  const auto position = [&](ResultKey key) {
+    return std::find(order.begin(), order.end(), key) - order.begin();
+  };
+  EXPECT_LT(position(other), position(after));
+  EXPECT_EQ(responses[trigger].route_kind,
+            static_cast<std::uint32_t>(serve::BatchKey::Kind::kCluster));
+  EXPECT_EQ(responses[after].route_kind,
+            static_cast<std::uint32_t>(serve::BatchKey::Kind::kPersonal));
+  EXPECT_EQ(net_server.counters().held_requests, 1u);
+  EXPECT_EQ(server.counters().finetunes, 1u);
 }
 
 // Nagle is off on every served connection: accepted sockets inherit

@@ -164,8 +164,9 @@ TEST(NetFault, DropCountdownCanTargetOneStream) {
 using ResultKey = std::pair<std::uint64_t, std::uint64_t>;
 
 // One full wire exchange: N requests over one connection, drain, collect.
-std::map<ResultKey, WireResponse> run_exchange(
-    std::uint64_t client_stream, std::uint64_t& deadline_releases) {
+// `timed` is set when a deadline release fired or a frame was held.
+std::map<ResultKey, WireResponse> run_exchange(std::uint64_t client_stream,
+                                               bool& timed) {
   serve::Server server(fixture().source, fault_serve_config());
   NetServerConfig nc;
   nc.listen.port = 0;
@@ -200,14 +201,15 @@ std::map<ResultKey, WireResponse> run_exchange(
   server_thread.join();
   EXPECT_EQ(net_server.counters().decode_errors, 0u);
   EXPECT_EQ(net_server.counters().partial_drops, 0u);
-  deadline_releases = net_server.counters().deadline_releases;
+  timed = net_server.counters().deadline_releases > 0 ||
+          net_server.counters().held_requests > 0;
   return out;
 }
 
 TEST(NetFault, ShortWritesAreInvisibleToDelivery) {
   NetFaultGuard guard;
-  std::uint64_t clean_releases = 0;
-  const auto clean = run_exchange(/*client_stream=*/42, clean_releases);
+  bool clean_timed = false;
+  const auto clean = run_exchange(/*client_stream=*/42, clean_timed);
 
   // Now cap *every* guarded write — client requests and server responses
   // both crawl through 7-byte sends. Delivery must be bit-identical.
@@ -216,12 +218,13 @@ TEST(NetFault, ShortWritesAreInvisibleToDelivery) {
   spec.short_write_rate = 1.0;
   spec.short_write_bytes = 7;
   fault::set_net_fault(spec);
-  std::uint64_t faulted_releases = 0;
-  const auto faulted = run_exchange(/*client_stream=*/42, faulted_releases);
+  bool faulted_timed = false;
+  const auto faulted = run_exchange(/*client_stream=*/42, faulted_timed);
 
-  // A deadline release moves batch boundaries, and with them batch_rows and
-  // the session state a response reports; never what it is answered.
-  const bool timed = clean_releases + faulted_releases > 0;
+  // A deadline release or a held frame moves batch boundaries, and with
+  // them batch_rows and the session state a response reports; never what it
+  // is answered.
+  const bool timed = clean_timed || faulted_timed;
   ASSERT_EQ(clean.size(), faulted.size());
   ASSERT_EQ(clean.size(), 8u);
   for (const auto& [key, c] : clean) {

@@ -203,7 +203,7 @@ TEST(Server, Int8OutputsArePinnedAcrossRebuilds) {
   EXPECT_GT(int8_personal, 0u);
 
   EXPECT_EQ(out.size(), 192u);
-  EXPECT_EQ(results_digest(out), 0x86315fb3f3e498a4ull)
+  EXPECT_EQ(results_digest(out), 0x85c68913e8ad7009ull)
       << "digest 0x" << std::hex << results_digest(out);
 }
 
@@ -244,8 +244,9 @@ TEST(Server, Int8BasesCalibrateOncePerServer) {
   EXPECT_EQ(roomy.cache().stats().evictions, 0u);
 }
 
-// personalize() fine-tunes an uncalibrated engine and calibrates it once,
-// on the fine-tuned weights.
+// A fine-tune trains an uncalibrated engine and calibrates it once, on the
+// fine-tuned weights. It runs on the trainer thread, so the count is taken
+// across its commit.
 TEST(Server, Int8PersonalizationCalibratesOnce) {
 #ifdef CLEAR_OBS_DISABLED
   GTEST_SKIP() << "instrumentation compiled out (CLEAR_OBS=OFF)";
@@ -259,15 +260,18 @@ TEST(Server, Int8PersonalizationCalibratesOnce) {
   server.submit(req(1, 2, 2000, 0));
   server.drain();
   const std::uint64_t before = obs::counter("edge.calibrations").value();
-  server.submit(req(1, 3, 3000, 1));  // Second label: fine-tunes here.
+  server.submit(req(1, 3, 3000, 1));  // Second label: starts the fine-tune.
+  server.drain();                     // Commits it.
   const std::uint64_t after = obs::counter("edge.calibrations").value();
   obs::set_enabled(false);
+  server.submit(req(1, 4, 4000));
   server.drain();
   EXPECT_EQ(server.counters().finetunes, 1u);
   EXPECT_EQ(after - before, 1u);
   const std::vector<ServeResult> out = server.take_results();
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[3].route.kind, BatchKey::Kind::kPersonal);
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[3].route.kind, BatchKey::Kind::kCluster);
+  EXPECT_EQ(out[4].route.kind, BatchKey::Kind::kPersonal);
 }
 
 // What a row is answered must not depend on which rows share its batch: a
@@ -347,9 +351,10 @@ TEST(Server, ColdStartLifecycleReachesPersonalized) {
   EXPECT_EQ(out[0].route.kind, BatchKey::Kind::kGeneral);
   EXPECT_EQ(out[1].route.kind, BatchKey::Kind::kCluster);
   EXPECT_EQ(out[2].route.kind, BatchKey::Kind::kCluster);
-  // ...until the second labelled map triggers the fine-tune, after which the
-  // session owns a personal engine.
-  EXPECT_EQ(out[3].route.kind, BatchKey::Kind::kPersonal);
+  // ...including the second labelled map, which starts the fine-tune. The
+  // user's next request commits it: from then on the session owns a
+  // personal engine.
+  EXPECT_EQ(out[3].route.kind, BatchKey::Kind::kCluster);
   EXPECT_EQ(out[4].route.kind, BatchKey::Kind::kPersonal);
   EXPECT_EQ(out[4].session_state, SessionState::kPersonalized);
   EXPECT_EQ(server.counters().assignments, 1u);
@@ -364,6 +369,20 @@ TEST(Server, ColdStartLifecycleReachesPersonalized) {
   EXPECT_EQ(session->state(), SessionState::kPersonalized);
   ASSERT_TRUE(session->first_prediction_us.has_value());
   EXPECT_GE(*session->first_prediction_us, session->first_arrival_us);
+
+  // A stream that ends on the trigger: run()'s drain commits the fine-tune.
+  Server ending(f.source, sc);
+  std::vector<ServeRequest> to_trigger;
+  to_trigger.push_back(req(1, 0, 0));
+  to_trigger.push_back(req(1, 1, 1000));
+  to_trigger.push_back(req(1, 2, 2000, 0));
+  to_trigger.push_back(req(1, 3, 3000, 1));
+  const std::vector<ServeResult> cut = ending.run(std::move(to_trigger));
+  ASSERT_EQ(cut.size(), 4u);
+  EXPECT_EQ(cut[3].route.kind, BatchKey::Kind::kCluster);
+  EXPECT_EQ(ending.counters().finetunes, 1u);
+  EXPECT_EQ(ending.sessions().sessions().at(0)->state(),
+            SessionState::kPersonalized);
 }
 
 TEST(Server, SustainedBadQualityDegradesToGeneralThenRecovers) {

@@ -109,6 +109,32 @@ TEST(Session, PersonalizationLifecycle) {
   EXPECT_TRUE(s.labelled().empty());
 }
 
+// A fine-tune is journaled only when it commits, so a session imaged while
+// one runs comes back ASSIGNED with the buffer that started it: ready to
+// run the same fine-tune again.
+TEST(Session, FineTuningImageRestoresAsAssignedWithItsBuffer) {
+  Session s = make_session();
+  s.add_observation(obs(0.1));
+  s.add_observation(obs(0.2));
+  s.set_assignment(1);
+  s.add_labelled(map_of(0.0f), 0);
+  s.add_labelled(map_of(1.0f), 1);
+  s.begin_finetune();
+  const SessionImage img = s.image();
+  EXPECT_EQ(img.state, SessionState::kAssigned);
+  EXPECT_FALSE(img.has_personal);
+  ASSERT_EQ(img.labelled.size(), 2u);
+  Session restored = make_session();
+  restored.restore_image(img, nullptr);
+  EXPECT_EQ(restored.state(), SessionState::kAssigned);
+  EXPECT_EQ(restored.cluster(), 1u);
+  ASSERT_EQ(restored.labelled().size(), 2u);
+  EXPECT_EQ(restored.labelled()[0].label, 0);
+  EXPECT_EQ(restored.labelled()[1].label, 1);
+  EXPECT_EQ(restored.labelled()[1].map.flat()[0], 1.0f);
+  EXPECT_TRUE(restored.ft_ready());
+}
+
 TEST(Session, AbortedFineTuneStopsRetrying) {
   Session s = make_session();
   s.add_observation(obs(0.1));

@@ -785,13 +785,14 @@ int cmd_serve(const CliArgs& args) {
     const net::NetCounters& n = net_server.counters();
     std::printf(
         "net: accepted=%llu closed=%llu rejected=%llu frames_in=%llu "
-        "frames_out=%llu deadline_releases=%llu\n",
+        "frames_out=%llu deadline_releases=%llu held_requests=%llu\n",
         static_cast<unsigned long long>(n.accepted),
         static_cast<unsigned long long>(n.closed),
         static_cast<unsigned long long>(n.rejected),
         static_cast<unsigned long long>(n.frames_in),
         static_cast<unsigned long long>(n.frames_out),
-        static_cast<unsigned long long>(n.deadline_releases));
+        static_cast<unsigned long long>(n.deadline_releases),
+        static_cast<unsigned long long>(n.held_requests));
     std::printf(
         "net: bytes_in=%llu bytes_out=%llu decode_errors=%llu "
         "partial_drops=%llu dropped_responses=%llu clamped=%llu\n",

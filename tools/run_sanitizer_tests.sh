@@ -32,7 +32,8 @@ PREFIX="${2:-build}"
 run_tsan() {
   local dir="${PREFIX}-tsan"
   cmake -B "$dir" -S . -DCLEAR_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$dir" -j --target test_parallel test_cluster test_fault
+  cmake --build "$dir" -j --target test_parallel test_cluster test_fault \
+    test_serve test_net
   export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
   # Force the pool onto multiple threads even on small machines so the
   # scheduler actually interleaves workers.
@@ -43,6 +44,12 @@ run_tsan() {
   "$dir/tests/test_cluster"
   echo "== test_fault (TSAN) =="
   "$dir/tests/test_fault"
+  # The trainer thread shares fine-tune jobs with the serving thread, and
+  # the wire's event loop waits on its wake fd.
+  echo "== test_serve (TSAN, trainer thread: start/commit, recovery) =="
+  "$dir/tests/test_serve" --gtest_filter='Server.*:RecoveryTest*'
+  echo "== test_net (TSAN, held frames behind a running fine-tune) =="
+  "$dir/tests/test_net" --gtest_filter='Loopback.*:NetFault.*'
 }
 
 run_ubsan() {
