@@ -393,12 +393,12 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
   request.quality = wire.quality;
   request.label = wire.label;
   request.map = std::move(wire.map);
+  request.arrival_us = wire.arrival_us;
   routes_[{request.user_id, request.request_id}] = conn.id;
   // Submitting behind a running fine-tune would stall every user on it:
   // hold the frame, and every later one of the user's, until it finishes.
   if (held_.count(request.user_id) != 0 ||
       server_.would_block(request.user_id)) {
-    request.arrival_us = wire.arrival_us;
     held_[request.user_id].push_back({std::move(request), read_wall_});
     ++counters_.held_requests;
     CLEAR_OBS_COUNT("net.held_requests", 1);
@@ -409,12 +409,10 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
   // malicious client) get clamped to the high-water mark — the request is
   // still served, just as if it had arrived "now".
   const std::uint64_t floor_us = server_.last_arrival_us();
-  if (wire.arrival_us < floor_us) {
+  if (request.arrival_us < floor_us) {
     request.arrival_us = floor_us;
     ++counters_.clamped_arrivals;
     CLEAR_OBS_COUNT("net.clamped_arrivals", 1);
-  } else {
-    request.arrival_us = wire.arrival_us;
   }
   server_.submit(std::move(request));
   anchor_virt_us_ = server_.last_arrival_us();

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -340,9 +339,7 @@ void Server::commit_finetune(Session& session) {
                   "user " << session.user_id() << " has no fine-tune to commit");
   const std::shared_ptr<FinetuneJob> job = std::move(it->second);
   jobs_.erase(it);
-  if (job->done.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready)
-    CLEAR_OBS_COUNT("serve.finetune.commit_waits", 1);
+  if (job->running()) CLEAR_OBS_COUNT("serve.finetune.commit_waits", 1);
   job->done.get();  // Rethrows what the job threw.
   if (!job->engine) {
     ++counters_.finetune_failures;
@@ -355,7 +352,7 @@ void Server::commit_finetune(Session& session) {
     }
     return;
   }
-  if (job->journaled) count_encode(job->blob);
+  count_encode(job->blob);
   session.set_personal_engine(std::move(job->engine));
   ++counters_.finetunes;
   CLEAR_OBS_COUNT("serve.finetunes", 1);
@@ -388,9 +385,7 @@ void Server::commit_finetune(Session& session) {
 
 bool Server::would_block(std::uint64_t user_id) const {
   const auto it = jobs_.find(user_id);
-  return it != jobs_.end() &&
-         it->second->done.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready;
+  return it != jobs_.end() && it->second->running();
 }
 
 void Server::drift_monitor(Session& session, const Tensor& normalized_map) {

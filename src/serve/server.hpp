@@ -19,6 +19,7 @@
 // error).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -262,8 +263,9 @@ class Server {
     BatchKey route;
   };
 
-  /// A personal checkpoint encoded for storage, and how (the commit counts
-  /// the outcome in serve.delta.*).
+  /// A personal checkpoint encoded for storage, and how: kFull when delta
+  /// storage is off or nothing was encoded, kFullFallback when a delta
+  /// would not have been smaller. count_encode() records the outcome.
   struct PersonalBlob {
     enum class Kind { kFull, kDelta, kFullFallback };
     std::string bytes;
@@ -283,6 +285,11 @@ class Server {
     std::unique_ptr<edge::EdgeEngine> engine;  ///< Null: no usable base.
     PersonalBlob blob;
     std::future<void> done;
+
+    bool running() const {
+      return done.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready;
+    }
   };
 
   void execute(std::vector<Batch> batches);

@@ -35,12 +35,12 @@ class TrainerThread {
  private:
   void main();
 
+  int wake_fd_ = -1;
   std::mutex mutex_;
   std::condition_variable ready_;
-  std::deque<std::packaged_task<void()>> queue_;
-  bool stop_ = false;
-  std::thread thread_;
-  int wake_fd_ = -1;
+  std::deque<std::packaged_task<void()>> queue_;  ///< Guarded by mutex_.
+  bool stop_ = false;                             ///< Guarded by mutex_.
+  std::thread thread_;  ///< Last: everything above outlives it.
 };
 
 }  // namespace clear::serve
