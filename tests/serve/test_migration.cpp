@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -176,6 +177,24 @@ TEST_F(MigrationTest, ExportIsAbsentForUnknownUserAndAfterRetire) {
   EXPECT_FALSE(server.export_session(1).has_value());
   // Retiring an absent session is a harmless no-op.
   server.retire_session(1);
+}
+
+// A fine-tune in flight must commit before its session is exported, as
+// pending rows must complete; retiring the session drops the job with it.
+TEST_F(MigrationTest, ExportRefusesAFinetuneInFlightAndRetireDropsIt) {
+  auto& f = fixture();
+  Server server(f.source, config_with(dir_a));
+  server.submit(req(1, 0, 0));
+  server.submit(req(1, 1, 1000));
+  server.submit(req(1, 2, 2000, 0));
+  server.submit(req(1, 3, 3000, 1));  // Starts the fine-tune.
+  server.advance(std::numeric_limits<std::uint64_t>::max());  // No commit.
+  ASSERT_EQ(server.in_flight(), 0u);
+  EXPECT_THROW(server.export_session(1), Error);
+  server.retire_session(1);
+  EXPECT_FALSE(server.export_session(1).has_value());
+  server.drain();
+  EXPECT_EQ(server.counters().finetunes, 0u);
 }
 
 TEST_F(MigrationTest, SessionImageCodecRoundTripsByteExactly) {
