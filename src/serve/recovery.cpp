@@ -377,7 +377,7 @@ RecoveryReport Server::recover() {
     if (s->ft_ready()) interrupted.push_back(s->user_id());
   for (const std::uint64_t user : interrupted) {
     Session& s = *sessions_.find(user);
-    start_finetune(s, /*here=*/true);
+    start_finetune(s);
     commit_finetune(s);
     ++report.finetunes_resumed;
   }

@@ -271,7 +271,7 @@ void Server::shed(const ServeRequest& request, const BatchKey& route,
   }
 }
 
-void Server::start_finetune(Session& session, bool here) {
+void Server::start_finetune(Session& session) {
   session.begin_finetune();
   auto job = std::make_shared<FinetuneJob>();
   job->user_id = session.user_id();
@@ -282,11 +282,7 @@ void Server::start_finetune(Session& session, bool here) {
   std::packaged_task<void()> task([this, job] { run_finetune(*job); });
   job->done = task.get_future();
   jobs_[session.user_id()] = job;
-  if (here) {
-    task();
-  } else {
-    trainer_.post(std::move(task));
-  }
+  trainer_.post(std::move(task));
 }
 
 void Server::run_finetune(FinetuneJob& job) const {

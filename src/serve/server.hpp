@@ -201,10 +201,9 @@ class Server {
   /// config.journal.directory — snapshot restore + journal replay, personal
   /// engines re-attached from CRC-verified checkpoints — then continue
   /// journaling into a compacted log. A fine-tune that started before the
-  /// crash but never committed runs again here, on the calling thread,
-  /// and is journaled after the post-recovery snapshot. An empty/missing
-  /// directory is a fresh start. Corruption falls back per session, never
-  /// per process.
+  /// crash but never committed runs again before this returns, and is
+  /// journaled after the post-recovery snapshot. An empty/missing directory
+  /// is a fresh start. Corruption falls back per session, never per process.
   RecoveryReport recover();
   /// Write a compacting snapshot now (no-op unless journaling). Called on
   /// graceful shutdown so restarts replay nothing.
@@ -303,9 +302,9 @@ class Server {
   /// record then carries the request count for replay.
   void shed(const ServeRequest& request, const BatchKey& route,
             Session* session, const std::string& why, bool admitted = true);
-  /// Enter FINE_TUNING and start a job on the session's labelled buffer:
-  /// on the trainer thread, or right here when `here` (recovery).
-  void start_finetune(Session& session, bool here = false);
+  /// Enter FINE_TUNING and post a job on the session's labelled buffer to
+  /// the trainer thread.
+  void start_finetune(Session& session);
   /// The job's work: load the cluster (else general) base, fine-tune,
   /// calibrate int8, encode the checkpoint. Touches no counter and writes
   /// no file, so it can run on the trainer thread.

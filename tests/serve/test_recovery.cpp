@@ -485,6 +485,7 @@ TEST_F(RecoveryTest, CrashBetweenFinetuneTriggerAndCommitServesTheSameAnswers) {
   Server restored(f.source, journaled_config(dir));
   const RecoveryReport report = restored.recover();
   EXPECT_TRUE(report.clean()) << report.str();
+  EXPECT_EQ(report.finetunes_resumed, 2u);
   EXPECT_EQ(restored.counters().finetunes, 2u);
   for (const std::uint64_t user : {1ull, 2ull})
     EXPECT_FALSE(read_user_checkpoint(dir, user).empty()) << "user " << user;
@@ -495,6 +496,7 @@ TEST_F(RecoveryTest, CrashBetweenFinetuneTriggerAndCommitServesTheSameAnswers) {
   Server again(f.source, journaled_config(dir));
   const RecoveryReport second = again.recover();
   EXPECT_TRUE(second.clean()) << second.str();
+  EXPECT_EQ(second.finetunes_resumed, 0u);
   EXPECT_EQ(second.personalized, 2u);
   EXPECT_EQ(second.personalized_expected, 2u);
 }
