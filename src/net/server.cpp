@@ -394,16 +394,37 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
   request.label = wire.label;
   request.map = std::move(wire.map);
   request.arrival_us = wire.arrival_us;
-  routes_[{request.user_id, request.request_id}] = conn.id;
   // Submitting behind a running fine-tune would stall every user on it:
   // hold the frame, and every later one of the user's, until it finishes.
   if (held_.count(request.user_id) != 0 ||
       server_.would_block(request.user_id)) {
+    // Held frames count against the batcher's global bound, so a client
+    // flooding its own fine-tuning user is shed as the serve layer would
+    // shed it, not buffered for the whole fine-tune.
+    std::size_t pending = server_.in_flight();
+    for (const auto& [user, queue] : held_) pending += queue.size();
+    if (pending >= server_.config().batch.max_pending) {
+      ++counters_.held_sheds;
+      CLEAR_OBS_COUNT("net.held_sheds", 1);
+      CLEAR_OBS_COUNT("serve.shed", 1);
+      WireResponse shed;
+      shed.request_id = request.request_id;
+      shed.user_id = request.user_id;
+      shed.shed = true;
+      shed.arrival_us = request.arrival_us;
+      shed.exec_us = request.arrival_us;
+      shed.error = "server overloaded (" + std::to_string(pending) +
+                   " requests pending)";
+      send_frame(conn, encode_response(shed));
+      return true;
+    }
+    routes_[{request.user_id, request.request_id}] = conn.id;
     held_[request.user_id].push_back({std::move(request), read_wall_});
     ++counters_.held_requests;
     CLEAR_OBS_COUNT("net.held_requests", 1);
     return true;
   }
+  routes_[{request.user_id, request.request_id}] = conn.id;
   // The serve layer's virtual clock must not run backwards. One connection
   // sending in order never trips this; interleaved connections (or a
   // malicious client) get clamped to the high-water mark — the request is

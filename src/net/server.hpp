@@ -23,10 +23,12 @@
 // A user whose fine-tune is still running on the serve::Server's trainer
 // thread would make submit() wait for it, so the loop holds that user's
 // frames in a per-user FIFO instead (net.held_requests) and keeps serving
-// everyone else. The trainer's wake fd is in the epoll set; when it fires,
-// each settled user's held frames are submitted in order, stamped no
-// earlier than the server's latest arrival. Drain, shutdown and export
-// submit every held frame first, waiting for the trainer if they must.
+// everyone else. Held frames count against the batcher's max_pending: a
+// frame that would pass it is shed at once (net.held_sheds). The trainer's
+// wake fd is in the epoll set; when it fires, each settled user's held
+// frames are submitted in order, stamped no earlier than the server's
+// latest arrival. Drain, shutdown and export submit every held frame
+// first, waiting for the trainer if they must.
 //
 // Shutdown is drain-on-shutdown: a kShutdown frame (or stop()) flushes every
 // pending batch, delivers every result the wire can still carry, lets the
@@ -79,6 +81,8 @@ struct NetCounters {
   std::uint64_t deadline_releases = 0;  ///< Timer wakes releasing a batch.
   /// Requests held while their user's fine-tune ran (submitted later).
   std::uint64_t held_requests = 0;
+  /// Requests shed instead of held: held plus pending reached max_pending.
+  std::uint64_t held_sheds = 0;
 };
 
 class NetServer {

@@ -338,6 +338,76 @@ TEST(Loopback, OtherUsersAreAnsweredWhileAFinetuneRuns) {
   EXPECT_EQ(server.counters().finetunes, 1u);
 }
 
+// Held frames count against the batcher's max_pending: behind its own slow
+// fine-tune, a user's frames are held while held plus pending rows stay
+// under the bound, and the rest are shed at once with the overload error.
+TEST(Loopback, FramesPastMaxPendingAreShedNotHeld) {
+  serve::ModelSource slow = fixture().source;
+  slow.config.finetune.epochs = kSlowFinetuneEpochs;
+  serve::ServeConfig sc = quick_serve_config();
+  sc.session.ca_windows = 2;
+  // One-row batches and a deadline no run reaches: a row is released only
+  // when virtual time passes it, so the trigger is the one pending row.
+  sc.batch.max_batch = 1;
+  sc.batch.queue_capacity = 4;
+  sc.batch.max_pending = 4;
+  sc.batch.max_wait_us = 60'000'000;
+  serve::Server server(std::move(slow), sc);
+  NetServerConfig nc;
+  nc.listen.port = 0;
+  NetServer net_server(server, nc);
+  std::thread server_thread([&net_server] { net_server.run(); });
+
+  const auto& samples =
+      fixture().dataset.samples_of(fixture().dataset.n_volunteers() - 1);
+  constexpr std::uint64_t kRequests = 10;
+  std::map<std::uint64_t, WireResponse> responses;
+  {
+    BlockingClient client({"127.0.0.1", net_server.port()});
+    for (std::uint64_t id = 0; id < kRequests; ++id) {
+      WireRequest r;
+      r.request_id = id;
+      r.user_id = 1;
+      r.arrival_us = id * 1000;
+      if (id == 2) r.label = 0;
+      if (id == 3) r.label = 1;  // Starts the fine-tune.
+      r.map = fixture().dataset.samples()[samples[id % samples.size()]]
+                  .feature_map;
+      client.send_request(r);
+    }
+    client.send_drain();
+    Frame frame;
+    while (client.recv_frame(frame) && frame.type == FrameType::kResponse) {
+      WireResponse response;
+      std::string error;
+      if (!parse_response(frame, response, error)) {
+        ADD_FAILURE() << error;
+        break;
+      }
+      responses[response.request_id] = response;
+    }
+    EXPECT_EQ(frame.type, FrameType::kDrainAck);
+    client.send_shutdown();
+  }
+  server_thread.join();
+
+  ASSERT_EQ(responses.size(), kRequests);
+  for (std::uint64_t id = 4; id < 7; ++id) {
+    EXPECT_FALSE(responses[id].shed) << "request " << id;
+    EXPECT_EQ(responses[id].route_kind,
+              static_cast<std::uint32_t>(serve::BatchKey::Kind::kPersonal))
+        << "request " << id;
+  }
+  for (std::uint64_t id = 7; id < kRequests; ++id) {
+    EXPECT_TRUE(responses[id].shed) << "request " << id;
+    EXPECT_EQ(responses[id].error, "server overloaded (4 requests pending)")
+        << "request " << id;
+  }
+  EXPECT_EQ(net_server.counters().held_requests, 3u);
+  EXPECT_EQ(net_server.counters().held_sheds, 3u);
+  EXPECT_EQ(server.counters().requests, 7u);
+}
+
 // Nagle is off on every served connection: accepted sockets inherit
 // TCP_NODELAY from the listener.
 TEST(Loopback, AcceptedSocketsHaveNagleOff) {

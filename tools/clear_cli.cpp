@@ -795,13 +795,15 @@ int cmd_serve(const CliArgs& args) {
         static_cast<unsigned long long>(n.held_requests));
     std::printf(
         "net: bytes_in=%llu bytes_out=%llu decode_errors=%llu "
-        "partial_drops=%llu dropped_responses=%llu clamped=%llu\n",
+        "partial_drops=%llu dropped_responses=%llu clamped=%llu "
+        "held_sheds=%llu\n",
         static_cast<unsigned long long>(n.bytes_in),
         static_cast<unsigned long long>(n.bytes_out),
         static_cast<unsigned long long>(n.decode_errors),
         static_cast<unsigned long long>(n.partial_drops),
         static_cast<unsigned long long>(n.dropped_responses),
-        static_cast<unsigned long long>(n.clamped_arrivals));
+        static_cast<unsigned long long>(n.clamped_arrivals),
+        static_cast<unsigned long long>(n.held_sheds));
     return 0;
   }
 
