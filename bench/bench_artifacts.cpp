@@ -4,7 +4,7 @@
 // The workload is the real personalization path, not a synthetic blob
 // generator: a pipeline is fitted, then every simulated user runs
 // edge_finetune from their cluster's base checkpoint at one of the three
-// serving tiers (fp32 / fp16 / int8), exactly as Server::personalize does.
+// serving tiers (fp32 / fp16 / int8), exactly as Server::run_finetune does.
 // Each fine-tuned model is serialized as a full v2 checkpoint and
 // delta-encoded against its base, and two things are measured per tier:
 //

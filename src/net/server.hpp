@@ -13,8 +13,9 @@
 // admitted arrival and the steady_clock time its frame was read, sleeps
 // until the earliest pending deadline on that clock, and on a wait that
 // returns no event advances the server to that clock's now, releasing what
-// is due (net.deadline_releases). A frame already readable is always
-// admitted first. What a request is
+// is due (net.deadline_releases). At the default zero wait that timeout is
+// zero, so a request is released right after the read pass that admitted
+// it. A frame already readable is always admitted first. What a request is
 // answered (prediction, probability bits, route) is a pure function of the
 // request stream, as on the library path; batch boundaries, exec_us and the
 // session state a response reports are too, as long as no deadline release

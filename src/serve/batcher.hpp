@@ -52,7 +52,11 @@ struct BatchKey {
 
 struct BatchPolicy {
   std::size_t max_batch = 8;       ///< Rows per executed batch.
-  std::uint64_t max_wait_us = 2000;  ///< Oldest request's max queueing delay.
+  /// Oldest request's max queueing delay. At 0 a request's batch is due at
+  /// its own arrival stamp: only same-stamp arrivals (and full queues) share
+  /// a batch. A wait can pay off only where one batched invoke replaces
+  /// several costly ones or a thread pool runs several due keys side by side.
+  std::uint64_t max_wait_us = 0;
   std::size_t queue_capacity = 32;   ///< Per-key pending bound.
   std::size_t max_pending = 256;     ///< Global pending bound (all keys).
 };

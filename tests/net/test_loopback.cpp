@@ -8,8 +8,8 @@
 // frame was held: a batch released by the wire's timer may end earlier than
 // on the library path, where only the next arrival releases it, and a frame
 // held while its user's fine-tune runs is submitted late. A run with a
-// deadline no test reaches and fine-tuning off keeps that case checked on a
-// loaded host.
+// deadline no test reaches and fine-tuning off keeps that case checked: at
+// the default zero wait nearly every batch is a timer release.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -72,8 +72,8 @@ LoopbackFixture& fixture() {
 }
 
 /// Fine-tune epochs that make one fine-tune on two maps last far longer
-/// than a batch wait: ~1 ms per epoch in a -O2 build on a 4-core x86 VM,
-/// against a 2 ms max_wait_us.
+/// than the exchange around it: ~1 ms per epoch in a -O2 build on a 4-core
+/// x86 VM, against one read pass and a zero batch wait.
 constexpr std::size_t kSlowFinetuneEpochs = 100;
 
 serve::ServeConfig quick_serve_config() {
@@ -264,11 +264,23 @@ std::pair<WireResponse, NetCounters> serve_lone_request(
 // max_wait_us after its frame was read, and executes at exactly its virtual
 // deadline.
 TEST(Loopback, LoneRequestIsAnsweredAtItsDeadline) {
-  const serve::ServeConfig sc = quick_serve_config();
+  serve::ServeConfig sc = quick_serve_config();
+  sc.batch.max_wait_us = 2000;
   const auto [response, counters] = serve_lone_request(sc);
   EXPECT_EQ(response.request_id, 1u);
   EXPECT_EQ(response.batch_rows, 1u);
   EXPECT_EQ(response.exec_us, response.arrival_us + sc.batch.max_wait_us);
+  EXPECT_EQ(counters.deadline_releases, 1u);
+}
+
+// Under the default policy nothing waits for batch-mates: the timer fires
+// with a zero timeout right after the read pass that admitted the request,
+// which executes at its own arrival stamp.
+TEST(Loopback, LoneRequestIsAnsweredAtItsOwnStampByDefault) {
+  const auto [response, counters] = serve_lone_request(quick_serve_config());
+  EXPECT_EQ(response.request_id, 1u);
+  EXPECT_EQ(response.batch_rows, 1u);
+  EXPECT_EQ(response.exec_us, response.arrival_us);
   EXPECT_EQ(counters.deadline_releases, 1u);
 }
 

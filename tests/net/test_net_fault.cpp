@@ -164,10 +164,15 @@ TEST(NetFault, DropCountdownCanTargetOneStream) {
 using ResultKey = std::pair<std::uint64_t, std::uint64_t>;
 
 // One full wire exchange: N requests over one connection, drain, collect.
-// `timed` is set when a deadline release fired or a frame was held.
+// A deadline no run reaches and no fine-tune to hold a frame behind, so the
+// batches are a pure function of the stream; `timed` is set when a deadline
+// release fired or a frame was held anyway.
 std::map<ResultKey, WireResponse> run_exchange(std::uint64_t client_stream,
                                                bool& timed) {
-  serve::Server server(fixture().source, fault_serve_config());
+  serve::ServeConfig sc = fault_serve_config();
+  sc.batch.max_wait_us = 60'000'000;
+  sc.session.enable_finetune = false;
+  serve::Server server(fixture().source, sc);
   NetServerConfig nc;
   nc.listen.port = 0;
   NetServer net_server(server, nc);
@@ -221,10 +226,11 @@ TEST(NetFault, ShortWritesAreInvisibleToDelivery) {
   bool faulted_timed = false;
   const auto faulted = run_exchange(/*client_stream=*/42, faulted_timed);
 
-  // A deadline release or a held frame moves batch boundaries, and with
-  // them batch_rows and the session state a response reports; never what it
-  // is answered.
-  const bool timed = clean_timed || faulted_timed;
+  // A deadline release or a held frame would move batch boundaries, and
+  // with them batch_rows, exec_us and the session state a response reports;
+  // neither run may fire one, so every field must match.
+  EXPECT_FALSE(clean_timed);
+  EXPECT_FALSE(faulted_timed);
   ASSERT_EQ(clean.size(), faulted.size());
   ASSERT_EQ(clean.size(), 8u);
   for (const auto& [key, c] : clean) {
@@ -233,9 +239,14 @@ TEST(NetFault, ShortWritesAreInvisibleToDelivery) {
     const WireResponse& f = it->second;
     EXPECT_EQ(f32_bits(f.fear_probability), f32_bits(c.fear_probability));
     EXPECT_EQ(f.predicted, c.predicted);
-    if (timed) continue;
+    EXPECT_EQ(f.shed, c.shed);
     EXPECT_EQ(f.session_state, c.session_state);
+    EXPECT_EQ(f.degraded, c.degraded);
+    EXPECT_EQ(f.route_kind, c.route_kind);
+    EXPECT_EQ(f.route_id, c.route_id);
     EXPECT_EQ(f.batch_rows, c.batch_rows);
+    EXPECT_EQ(f.arrival_us, c.arrival_us);
+    EXPECT_EQ(f.exec_us, c.exec_us);
     EXPECT_EQ(f.error, c.error);
   }
 }

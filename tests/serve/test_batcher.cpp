@@ -125,6 +125,7 @@ TEST(MicroBatcher, PartialQueueWaitsForDeadline) {
 TEST(MicroBatcher, AtMostOneBatchPerKeyPerPop) {
   BatchPolicy p;
   p.max_batch = 2;
+  p.max_wait_us = 2000;
   p.queue_capacity = 8;
   MicroBatcher b(p);
   for (std::size_t i = 0; i < 5; ++i) b.admit(general(), i, 0);

@@ -532,6 +532,7 @@ TEST(Server, CorruptClusterCheckpointsDegradeToGeneral) {
 TEST(Server, DrainCompletesEveryAdmittedRequest) {
   auto& f = fixture();
   ServeConfig sc = quick_serve_config();
+  sc.batch.max_wait_us = 2000;  // A deadline distinct from the arrivals.
   Server server(f.source, sc);
   server.submit(req(3, 0, 0));
   server.submit(req(4, 0, 0));

@@ -40,7 +40,7 @@
 //
 //   clear-cli serve     [--users=32 --requests=24 --seed=7]
 //                       [--artifacts=DIR] [--precisions=fp32,fp16,int8]
-//                       [--max-batch=8 --max-wait-us=2000 --queue-cap=32]
+//                       [--max-batch=8 --max-wait-us=0 --queue-cap=32]
 //       CLEAR-Serve demo: replay a deterministic synthetic multi-user
 //       workload through the session/micro-batching server. Without
 //       --artifacts a small pipeline is fitted in memory first. Per-request
@@ -191,7 +191,7 @@ const char* command_help(const std::string& command) {
        "  --precisions=LIST     fp32,fp16,int8 engines to run (default "
        "fp32)\n"
        "  --max-batch=N         micro-batch row cap (default 8)\n"
-       "  --max-wait-us=N       micro-batch wait budget (default 2000)\n"
+       "  --max-wait-us=N       micro-batch wait budget (default 0)\n"
        "  --queue-cap=N         per-tick admission queue slots (default "
        "32)\n"
        "  --max-pending=N       admission-control pending cap (default "
@@ -691,8 +691,8 @@ int cmd_serve(const CliArgs& args) {
   serve::ServeConfig sc;
   sc.batch.max_batch =
       static_cast<std::size_t>(args.get_int("max-batch", 8));
-  sc.batch.max_wait_us =
-      static_cast<std::uint64_t>(args.get_int("max-wait-us", 2000));
+  sc.batch.max_wait_us = static_cast<std::uint64_t>(args.get_int(
+      "max-wait-us", static_cast<std::int64_t>(sc.batch.max_wait_us)));
   sc.batch.queue_capacity =
       static_cast<std::size_t>(args.get_int("queue-cap", 32));
   sc.batch.max_pending =
