@@ -5,16 +5,20 @@
 // generator: a pipeline is fitted, then every simulated user runs
 // edge_finetune from their cluster's base checkpoint at one of the three
 // serving tiers (fp32 / fp16 / int8), exactly as Server::run_finetune does.
-// Each fine-tuned model is serialized as a full v2 checkpoint and
-// delta-encoded against its base, and two things are measured per tier:
+// Each fine-tuned model is serialized as a full v2 checkpoint and stored
+// the one way the server stores it: delta-encoded against its base, or the
+// full blob when a delta would not be smaller (counted as a fallback). Each
+// tier's unfrozen tensors lean on one residual encoding (fp32 kUlpDelta,
+// fp16 kHalf, int8 kGrid8). Two things are measured per tier:
 //
 //   density    users-resident-per-GB — how many users' personal checkpoints
-//              fit in a GB of storage — for full vs delta encoding. This is
-//              a deterministic function of the workload (the codec has no
-//              randomness), so the regression gate holds it tightly.
+//              fit in a GB of storage — for full blobs vs what is stored.
+//              This is a deterministic function of the workload (the codec
+//              has no randomness), so the regression gate holds it to 1%.
 //   cold load  bytes-on-disk -> ready engine. The delta path pays an extra
-//              decode (CRC + varint residual application) before the model
-//              build; the gate bounds that overhead at the p99.
+//              decode (CRC + residual decode: varints at fp32/fp16, rANS at
+//              int8) before the model build; the gate bounds that overhead
+//              at the p99.
 //
 // Flags: --bench-users=24 --load-iters=3 [dataset flags: --seed
 //        --volunteers --trials --epochs --ft-epochs --quick]

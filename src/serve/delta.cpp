@@ -19,14 +19,14 @@ namespace clear::serve::delta {
 
 namespace {
 
-constexpr std::uint32_t kDeltaCodecVersion = 1;
+constexpr std::uint32_t kDeltaCodecVersion = 2;
 
 constexpr const char* kMetaBlock = "delta.meta";
 constexpr const char* kTensorsBlock = "delta.tensors";
 constexpr const char* kValuesBlock = "delta.values";
 
+// Value 0 retired with codec v1; a v2 reader rejects it as unknown.
 enum class Enc : std::uint8_t {
-  kSame = 0,
   kRaw = 1,
   kUlpDelta = 2,
   kHalf = 3,
@@ -108,7 +108,7 @@ std::int64_t unzigzag(std::uint64_t z) {
          -static_cast<std::int64_t>(z & 1u);
 }
 
-void put_residuals(bytes::Writer& w, const std::vector<std::int64_t>& r) {
+std::string encode_residuals(const std::vector<std::int64_t>& r) {
   const std::size_t n = r.size();
   std::string bitmap((n + 7) / 8, '\0');
   std::uint64_t nnz = 0;
@@ -117,22 +117,17 @@ void put_residuals(bytes::Writer& w, const std::vector<std::int64_t>& r) {
       bitmap[i >> 3] |= static_cast<char>(1u << (i & 7u));
       ++nnz;
     }
+  bytes::Writer w;
   w.u64(nnz);
   w.raw(bitmap);
   for (std::size_t i = 0; i < n; ++i)
     if (r[i] != 0) w.varint(zigzag(r[i]));
-}
-
-std::string encode_residuals(const std::vector<std::int64_t>& r) {
-  bytes::Writer w;
-  put_residuals(w, r);
   return w.take();
 }
 
-/// Decode one residual stream of `n` weights from `r`. Callers with a
-/// single stream use decode_residuals() below, which also rejects trailing
-/// bytes.
-std::vector<std::int64_t> get_residuals(bytes::Reader& r, std::size_t n) {
+std::vector<std::int64_t> decode_residuals(std::string_view payload,
+                                           std::size_t n) {
+  bytes::Reader r(payload, "delta residuals");
   const std::uint64_t nnz = r.u64();
   const std::string_view bitmap = r.bytes((n + 7) / 8);
   std::vector<std::int64_t> out(n, 0);
@@ -145,21 +140,14 @@ std::vector<std::int64_t> get_residuals(bytes::Reader& r, std::size_t n) {
   CLEAR_CHECK_MSG(seen == nnz, "delta residual bitmap claims "
                                    << seen << " nonzeros, header says "
                                    << nnz);
-  return out;
-}
-
-std::vector<std::int64_t> decode_residuals(std::string_view payload,
-                                           std::size_t n) {
-  bytes::Reader r(payload, "delta residuals");
-  std::vector<std::int64_t> out = get_residuals(r, n);
   r.expect_end();
   return out;
 }
 
-// -- Dense residual coding (kGrid8 mode 1) -----------------------------------
+// -- rANS residual coding (kGrid8) -------------------------------------------
 //
 // Unfrozen weights routinely move several grid steps under fine-tuning, so
-// their grid residuals are dense (the sparse bitmap+varint stream pays ~1
+// their grid residuals are dense (a sparse bitmap+varint stream would pay ~1
 // byte per weight) but low-entropy (~4 bits: a couple dozen distinct steps,
 // sharply peaked at small magnitudes). A static entropy coder over the
 // per-tensor residual histogram gets within a few percent of that entropy.
@@ -203,13 +191,12 @@ std::string rans_encode(const std::vector<std::uint8_t>& syms,
   return out;
 }
 
-/// Dense stream: varint n_symbols, then per symbol (ascending sym value)
-/// varint sym + varint normalized freq (freqs sum to kDenseTotal), then
-/// varint body length + rANS body. Returns "" when the tensor is a
-/// poor fit (too many distinct symbols, or normalization cannot keep every
-/// count >= 1) — the caller falls back to the sparse stream.
-std::string encode_dense_residuals(const std::vector<std::int64_t>& r,
-                                   const std::vector<std::int64_t>& neg_zero) {
+/// varint n_symbols, then per symbol (ascending sym value) varint sym +
+/// varint normalized freq (freqs sum to kDenseTotal), then varint body
+/// length + rANS body. Returns "" when the tensor is a poor fit (more than
+/// 256 distinct symbols, or normalization cannot keep every count >= 1).
+std::string encode_rans_residuals(const std::vector<std::int64_t>& r,
+                                  const std::vector<std::int64_t>& neg_zero) {
   const std::size_t n = r.size();
   if (n == 0) return "";
   std::map<std::uint64_t, std::uint64_t> counts;
@@ -260,30 +247,30 @@ std::string encode_dense_residuals(const std::vector<std::int64_t>& r,
   return w.take();
 }
 
-/// Inverse of encode_dense_residuals, consuming from `in`. Fills both the
+/// Inverse of encode_rans_residuals, consuming from `in`. Fills both the
 /// residuals and the sign-of-zero flags.
-void get_dense_residuals(bytes::Reader& in, std::size_t n,
-                         std::vector<std::int64_t>& r,
-                         std::vector<std::int64_t>& neg_zero) {
+void get_rans_residuals(bytes::Reader& in, std::size_t n,
+                        std::vector<std::int64_t>& r,
+                        std::vector<std::int64_t>& neg_zero) {
   const std::uint64_t n_symbols = in.varint();
   CLEAR_CHECK_MSG(n_symbols > 0 && n_symbols <= 256,
-                  "delta dense residual table has " << n_symbols
-                                                    << " symbols");
+                  "delta grid8 residual table has " << n_symbols
+                                                     << " symbols");
   std::vector<std::uint64_t> syms(n_symbols);
   std::vector<std::uint32_t> freqs(n_symbols);
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < n_symbols; ++i) {
     syms[i] = in.varint();
     CLEAR_CHECK_MSG(i == 0 || syms[i] > syms[i - 1],
-                    "delta dense residual symbols not ascending");
+                    "delta grid8 residual symbols not ascending");
     const std::uint64_t f = in.varint();
     CLEAR_CHECK_MSG(f >= 1 && f <= kDenseTotal,
-                    "delta dense residual frequency " << f
-                                                      << " out of range");
+                    "delta grid8 residual frequency " << f
+                                                       << " out of range");
     freqs[i] = static_cast<std::uint32_t>(f);
     sum += f;
   }
-  CLEAR_CHECK_MSG(sum == kDenseTotal, "delta dense residual frequencies sum "
+  CLEAR_CHECK_MSG(sum == kDenseTotal, "delta grid8 residual frequencies sum "
                                           << sum << ", want " << kDenseTotal);
   std::vector<std::uint32_t> cum(n_symbols + 1, 0);
   for (std::size_t i = 0; i < n_symbols; ++i) cum[i + 1] = cum[i] + freqs[i];
@@ -297,7 +284,7 @@ void get_dense_residuals(bytes::Reader& in, std::size_t n,
 
   const std::string_view body = in.bytes(in.varint());
   CLEAR_CHECK_MSG(body.size() >= 4,
-                  "delta dense residual body too short for an rANS state");
+                  "delta grid8 residual body too short for an rANS state");
   std::size_t bp = 0;
   std::uint32_t x = 0;
   for (int k = 0; k < 4; ++k)
@@ -371,8 +358,8 @@ std::optional<std::string> try_grid8(const Tensor& base, const Tensor& ft) {
       const std::int8_t q = edge::quantize_value(ft[i], qp);
       if (f32_bits(edge::dequantize_value(q, qp)) != f32_bits(ft[i])) {
         // The SIMD fake-quant kernel emits -0.0f where the scalar
-        // dequantize gives +0.0f; a sign-of-zero fixup stream keeps the
-        // reconstruction bitwise.
+        // dequantize gives +0.0f; a sign-of-zero fixup bit in the rANS
+        // symbol keeps the reconstruction bitwise.
         if (q == 0 && f32_bits(ft[i]) == 0x80000000u) {
           neg_zero[i] = 1;
         } else {
@@ -384,21 +371,13 @@ std::optional<std::string> try_grid8(const Tensor& base, const Tensor& ft) {
       r[i] = std::int64_t(q) - std::int64_t(pred);
     }
     if (!exact) continue;
-    // Mode 0: sparse bitmap+varint streams (residual, then sign-of-zero).
-    // Mode 1: rANS-coded dense stream. Smallest wins.
-    bytes::Writer sparse;
-    sparse.u8(0);
-    put_residuals(sparse, r);
-    put_residuals(sparse, neg_zero);
-    const std::string dense = encode_dense_residuals(r, neg_zero);
+    // A tensor whose residuals overflow the rANS table is no grid8
+    // candidate; it takes another encoding.
+    const std::string body = encode_rans_residuals(r, neg_zero);
+    if (body.empty()) return std::nullopt;
     bytes::Writer payload;
     payload.u32(f32_bits(s));
-    if (!dense.empty() && dense.size() + 1 < sparse.size()) {
-      payload.u8(1);
-      payload.raw(dense);
-    } else {
-      payload.raw(sparse.take());
-    }
+    payload.raw(body);
     return payload.take();
   }
   return std::nullopt;
@@ -423,13 +402,6 @@ std::vector<float> decode_tensor(Enc enc, std::string_view payload,
                                  const std::string& name) {
   std::vector<float> out(n);
   switch (enc) {
-    case Enc::kSame: {
-      CLEAR_CHECK_MSG(payload.empty(), "delta tensor '"
-                                           << name
-                                           << "': kSame carries payload");
-      std::copy(base.flat().begin(), base.flat().end(), out.begin());
-      break;
-    }
     case Enc::kRaw: {
       CLEAR_CHECK_MSG(payload.size() == n * 4,
                       "delta tensor '" << name << "': raw payload is "
@@ -457,18 +429,9 @@ std::vector<float> decode_tensor(Enc enc, std::string_view payload,
     case Enc::kGrid8: {
       bytes::Reader in(payload, "delta grid8");
       const edge::QuantParams qp{in.f32()};
-      const std::uint8_t mode = in.u8();
       std::vector<std::int64_t> r;
       std::vector<std::int64_t> neg_zero;
-      if (mode == 0) {
-        r = get_residuals(in, n);
-        neg_zero = get_residuals(in, n);
-      } else {
-        CLEAR_CHECK_MSG(mode == 1, "delta tensor '"
-                                       << name << "': unknown grid8 mode "
-                                       << int(mode));
-        get_dense_residuals(in, n, r, neg_zero);
-      }
+      get_rans_residuals(in, n, r, neg_zero);
       in.expect_end();
       // The SIMD quantize kernel is bit-identical to the scalar
       // edge::quantize_value the encoder used (the kernel sweep enforces
@@ -570,8 +533,6 @@ std::optional<std::string> encode(const std::string& base_blob,
   if (nn::encode_checkpoint(ft_params) != ft_blob) return std::nullopt;
 
   EncodeStats st;
-  st.tensors = ft_params.size();
-  st.full_bytes = ft_blob.size();
   bytes::Writer tensors_block;
   bytes::Writer values_block;
   for (std::size_t i = 0; i < ft_params.size(); ++i) {
@@ -579,35 +540,26 @@ std::optional<std::string> encode(const std::string& base_blob,
     const Tensor& f = ft_params[i].value;
     const std::size_t n = f.numel();
     Enc enc = Enc::kRaw;
-    std::string payload;
-    if (n > 0 &&
-        std::memcmp(b.data(), f.data(), n * sizeof(float)) == 0) {
-      enc = Enc::kSame;
-      ++st.same;
-    } else {
-      payload = encode_raw(f);
-      std::string ulp = encode_ulp(b, f);
-      if (ulp.size() < payload.size()) {
-        enc = Enc::kUlpDelta;
-        payload = std::move(ulp);
-      }
-      if (std::optional<std::string> half = try_half(b, f);
-          half && half->size() < payload.size()) {
-        enc = Enc::kHalf;
-        payload = std::move(*half);
-      }
-      if (std::optional<std::string> grid = try_grid8(b, f);
-          grid && grid->size() < payload.size()) {
-        enc = Enc::kGrid8;
-        payload = std::move(*grid);
-      }
-      switch (enc) {
-        case Enc::kRaw: ++st.raw; break;
-        case Enc::kUlpDelta: ++st.ulp; break;
-        case Enc::kHalf: ++st.half; break;
-        case Enc::kGrid8: ++st.grid8; break;
-        default: break;
-      }
+    std::string payload = encode_raw(f);
+    if (std::string ulp = encode_ulp(b, f); ulp.size() < payload.size()) {
+      enc = Enc::kUlpDelta;
+      payload = std::move(ulp);
+    }
+    if (std::optional<std::string> half = try_half(b, f);
+        half && half->size() < payload.size()) {
+      enc = Enc::kHalf;
+      payload = std::move(*half);
+    }
+    if (std::optional<std::string> grid = try_grid8(b, f);
+        grid && grid->size() < payload.size()) {
+      enc = Enc::kGrid8;
+      payload = std::move(*grid);
+    }
+    switch (enc) {
+      case Enc::kRaw: ++st.raw; break;
+      case Enc::kUlpDelta: ++st.ulp; break;
+      case Enc::kHalf: ++st.half; break;
+      case Enc::kGrid8: ++st.grid8; break;
     }
     tensors_block.u32(static_cast<std::uint32_t>(ft_params[i].name.size()));
     tensors_block.raw(ft_params[i].name);
@@ -639,7 +591,6 @@ std::optional<std::string> encode(const std::string& base_blob,
   } catch (const Error&) {
     return std::nullopt;
   }
-  st.delta_bytes = container.size();
   if (stats) *stats = st;
   return container;
 }

@@ -11,27 +11,26 @@
 // before committing to it (returning nullopt, i.e. "store the full blob",
 // on any mismatch or when the delta would not be smaller).
 //
-// Per-tensor encodings (chosen independently per tensor, smallest wins):
-//   kSame     base and fine-tuned tensor are bitwise identical (typical for
-//             frozen layers at fp32).
+// Per-tensor encodings (chosen independently per tensor, smallest wins).
+// Each serving tier leans on one residual encoding beside the raw fallback:
 //   kRaw      raw f32 words — the guaranteed fallback.
-//   kUlpDelta residual between the f32 bit patterns of fine-tuned and base
-//             values, zigzag-varint packed behind a nonzero bitmap. Small
-//             optimizer steps move a weight few ULPs, so residuals are
-//             short even though nearly every unfrozen weight changes.
-//   kHalf     every fine-tuned value is exactly fp16-representable (the
-//             fp16 serving tier projects weights each step): residual
-//             between half bit patterns vs. the fp16-rounded base.
-//   kGrid8    every fine-tuned value sits exactly on a symmetric int8 grid
-//             scale*q (the int8 serving tier): residual between grid
-//             indices vs. the base quantized at the recovered scale, plus a
-//             sign-of-zero fixup stream (the SIMD fake-quant kernel emits
-//             -0.0f where scalar dequantization gives +0.0f). Most
-//             fine-tune steps are smaller than one grid step, so residuals
-//             are almost all zero — this is where delta storage shines.
-//             Tensors whose residuals come out dense (unfrozen layers)
-//             switch to a static-rANS entropy-coded mode per tensor,
-//             whichever of the two is smaller.
+//   kUlpDelta (fp32 tier) residual between the f32 bit patterns of
+//             fine-tuned and base values, zigzag-varint packed behind a
+//             nonzero bitmap. Small optimizer steps move a weight few ULPs,
+//             so residuals are short even though nearly every unfrozen
+//             weight changes; a frozen tensor costs its bitmap.
+//   kHalf     (fp16 tier) every fine-tuned value is exactly
+//             fp16-representable (the tier projects weights each step):
+//             residual between half bit patterns vs. the fp16-rounded base.
+//   kGrid8    (int8 tier) every fine-tuned value sits exactly on a
+//             symmetric int8 grid scale*q: residual between grid indices
+//             vs. the base quantized at the recovered scale, plus a
+//             sign-of-zero fixup bit (the SIMD fake-quant kernel emits
+//             -0.0f where scalar dequantization gives +0.0f), static-rANS
+//             coded per tensor. Most fine-tune steps are smaller than one
+//             grid step, so the residuals are low-entropy — this is where
+//             delta storage shines. A tensor whose residuals need more than
+//             256 rANS symbols takes another encoding.
 //
 // Blocks inside the container: "delta.meta" (codec version, base reference
 // + CRC, reconstruction length + CRC), "delta.tensors" (per-tensor
@@ -53,15 +52,12 @@ struct BaseRef {
   std::uint64_t id = 0;  ///< Cluster index (kCluster only).
 };
 
+/// Tensors per chosen encoding.
 struct EncodeStats {
-  std::size_t tensors = 0;
-  std::size_t same = 0;
   std::size_t raw = 0;
   std::size_t ulp = 0;
   std::size_t half = 0;
   std::size_t grid8 = 0;
-  std::size_t delta_bytes = 0;  ///< Encoded container size.
-  std::size_t full_bytes = 0;   ///< Input checkpoint size.
 };
 
 /// Encode `ft_blob` (an nn checkpoint blob) as a delta artifact

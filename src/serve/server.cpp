@@ -169,49 +169,24 @@ std::unique_ptr<edge::EdgeEngine> Server::build_engine(
 
 Server::PersonalBlob Server::encode_personal_blob(
     std::size_t cluster, const std::string& full_blob) const {
-  PersonalBlob out;
-  if (!config_.delta_checkpoints) {
-    out.bytes = full_blob;
-    return out;
-  }
-  delta::EncodeStats stats;
   std::optional<std::string> enc = delta::encode(
       source_.cluster_blob(cluster),
-      delta::BaseRef{delta::BaseRef::Kind::kCluster, cluster}, full_blob,
-      &stats);
+      delta::BaseRef{delta::BaseRef::Kind::kCluster, cluster}, full_blob);
   if (!enc && has_general_)
     enc = delta::encode(source_.general_blob(),
                         delta::BaseRef{delta::BaseRef::Kind::kGeneral, 0},
-                        full_blob, &stats);
+                        full_blob);
+  PersonalBlob out;
   if (!enc) {
     // Missing/corrupt base, mismatched shapes, or a delta that would not
     // be smaller: the full blob is always safe to store.
     out.bytes = full_blob;
-    out.kind = PersonalBlob::Kind::kFullFallback;
     return out;
   }
   out.bytes_saved = full_blob.size() - enc->size();
   out.bytes = std::move(*enc);
-  out.kind = PersonalBlob::Kind::kDelta;
+  out.delta = true;
   return out;
-}
-
-void Server::count_encode(const PersonalBlob& blob) {
-  switch (blob.kind) {
-    case PersonalBlob::Kind::kFull:
-      break;
-    case PersonalBlob::Kind::kFullFallback:
-      ++counters_.delta_full_fallbacks;
-      CLEAR_OBS_COUNT("serve.delta.full_fallbacks", 1);
-      break;
-    case PersonalBlob::Kind::kDelta:
-      ++counters_.delta_encoded;
-      counters_.delta_bytes_saved += blob.bytes_saved;
-      CLEAR_OBS_COUNT("serve.delta.encoded", 1);
-      CLEAR_OBS_COUNT("serve.delta.bytes_written", blob.bytes.size());
-      CLEAR_OBS_COUNT("serve.delta.bytes_saved", blob.bytes_saved);
-      break;
-  }
 }
 
 BatchKey Server::route_for(const Session& session) const {
@@ -348,7 +323,19 @@ void Server::commit_finetune(Session& session) {
     }
     return;
   }
-  count_encode(job->blob);
+  if (job->journaled) {
+    const PersonalBlob& blob = job->blob;
+    if (blob.delta) {
+      ++counters_.delta_encoded;
+      counters_.delta_bytes_saved += blob.bytes_saved;
+      CLEAR_OBS_COUNT("serve.delta.encoded", 1);
+      CLEAR_OBS_COUNT("serve.delta.bytes_written", blob.bytes.size());
+      CLEAR_OBS_COUNT("serve.delta.bytes_saved", blob.bytes_saved);
+    } else {
+      ++counters_.delta_full_fallbacks;
+      CLEAR_OBS_COUNT("serve.delta.full_fallbacks", 1);
+    }
+  }
   session.set_personal_engine(std::move(job->engine));
   ++counters_.finetunes;
   CLEAR_OBS_COUNT("serve.finetunes", 1);
@@ -914,11 +901,10 @@ std::optional<Server::ExportedSession> Server::export_session(
     // Re-encode through the same deterministic path the fine-tune's commit
     // persisted, so the wire blob carries the delta when one is stored and
     // the gaining shard's restore decodes to the bit-identical checkpoint.
-    const PersonalBlob blob = encode_personal_blob(
-        session->cluster(),
-        nn::encode_checkpoint(session->personal_engine()->model()));
-    count_encode(blob);
-    out.checkpoint = blob.bytes;
+    // Nothing is stored here, so no serve.delta.* counter moves.
+    const std::string full =
+        nn::encode_checkpoint(session->personal_engine()->model());
+    out.checkpoint = encode_personal_blob(session->cluster(), full).bytes;
   }
   CLEAR_OBS_COUNT("serve.migration.exports", 1);
   return out;
@@ -986,54 +972,6 @@ bool Server::import_session(const SessionImage& image,
   // record admits it, so replay must find it in snapshot.snap.
   snapshot_now();
   return true;
-}
-
-std::size_t Server::rewrite_user_checkpoints() {
-  CLEAR_CHECK_MSG(journal_,
-                  "checkpoint rewrite requires an active journal "
-                  "(open_journal() or recover() first)");
-  // Fold every outstanding kFinetune record into the snapshot first: those
-  // records pin the size + CRC of the *old* bytes, and replaying them
-  // against rewritten files would quarantine every rewritten session. The
-  // snapshot restore path re-reads user_<id>.ckpt by content, so after
-  // this a crash at any point mid-rewrite recovers cleanly — each file is
-  // atomically either the old or the new encoding, and both load.
-  snapshot_now();
-  std::size_t rewritten = 0;
-  for (const Session* s : sessions_.sessions()) {
-    const std::string stored =
-        read_user_checkpoint(config_.journal.directory, s->user_id());
-    if (stored.empty()) continue;
-    std::string full = stored;
-    if (delta::is_delta(stored)) {
-      try {
-        const delta::BaseRef ref = delta::base_of(stored);
-        full = delta::decode(stored,
-                             ref.kind == delta::BaseRef::Kind::kGeneral
-                                 ? source_.general_blob()
-                                 : source_.cluster_blob(ref.id));
-      } catch (const Error& e) {
-        CLEAR_WARN("user " << s->user_id()
-                           << ": checkpoint left unrewritten (" << e.what()
-                           << ")");
-        continue;
-      }
-    }
-    const PersonalBlob encoded = encode_personal_blob(s->cluster(), full);
-    count_encode(encoded);
-    const std::string& next = encoded.bytes;
-    if (next == stored) continue;
-    try {
-      write_user_checkpoint(config_.journal.directory, s->user_id(), next,
-                            config_.journal.fsync);
-    } catch (const Error& e) {
-      journal_disable(e, "checkpoint rewrite");
-      break;
-    }
-    ++rewritten;
-    CLEAR_OBS_COUNT("serve.delta.rewrites", 1);
-  }
-  return rewritten;
 }
 
 std::vector<ServeResult> Server::take_results() {

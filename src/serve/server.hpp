@@ -103,12 +103,6 @@ struct ServeConfig {
   /// Durability: write-ahead session journal. An empty directory disables
   /// journaling; see open_journal()/recover().
   JournalConfig journal;
-  /// Persist personal checkpoints as deltas against their cluster (or
-  /// general) base whenever that is smaller (src/serve/delta.hpp;
-  /// docs/FORMATS.md). Loading sniffs the stored format, so flipping this
-  /// only changes new writes — legacy full checkpoints keep loading either
-  /// way, and rewrite_user_checkpoints() migrates a directory in place.
-  bool delta_checkpoints = true;
 };
 
 /// Deterministic run counters (plain values, independent of CLEAR_OBS).
@@ -141,8 +135,8 @@ struct ServeCounters {
   /// Journal/snapshot write failures. Durability degrades (journaling shuts
   /// off after the first); serving never does.
   std::size_t journal_io_errors = 0;
-  // Delta checkpoint codec (zero when delta_checkpoints is off and no
-  // delta-stored blobs are ever loaded).
+  // Delta checkpoint codec. A journaled fine-tune's commit counts its
+  // stored blob as a delta or a full fallback (src/serve/delta.hpp).
   std::size_t delta_encoded = 0;         ///< Personal blobs stored as deltas.
   std::size_t delta_full_fallbacks = 0;  ///< Encodes that stayed full-size.
   std::size_t delta_loads = 0;     ///< Delta blobs decoded into engines.
@@ -236,14 +230,6 @@ class Server {
   bool import_session(const SessionImage& image,
                       const std::string& checkpoint);
 
-  /// Storage migration (docs/OPERATIONS.md runbook): re-encode every
-  /// persisted personal checkpoint in the *current* storage format — delta
-  /// when config.delta_checkpoints, full otherwise. Snapshots first, so no
-  /// outstanding journal record still pins the old bytes' size/CRC. Files
-  /// that fail to re-encode are left as they were (both formats keep
-  /// loading). Returns the number of files rewritten. Requires journaling.
-  std::size_t rewrite_user_checkpoints();
-
   const ServeConfig& config() const { return config_; }
   const ServeCounters& counters() const { return counters_; }
   /// Virtual-clock high-water mark: the latest arrival submitted so far.
@@ -262,14 +248,12 @@ class Server {
     BatchKey route;
   };
 
-  /// A personal checkpoint encoded for storage, and how: kFull when delta
-  /// storage is off or nothing was encoded, kFullFallback when a delta
-  /// would not have been smaller. count_encode() records the outcome.
+  /// A personal checkpoint encoded for storage: the delta against its base,
+  /// or the full blob when a delta would not have been smaller.
   struct PersonalBlob {
-    enum class Kind { kFull, kDelta, kFullFallback };
     std::string bytes;
-    Kind kind = Kind::kFull;
-    std::size_t bytes_saved = 0;  ///< Full minus delta size (kDelta only).
+    bool delta = false;
+    std::size_t bytes_saved = 0;  ///< Full minus delta size (delta only).
   };
 
   /// One fine-tune: inputs copied on the serving thread when it starts,
@@ -306,12 +290,12 @@ class Server {
   /// the trainer thread.
   void start_finetune(Session& session);
   /// The job's work: load the cluster (else general) base, fine-tune,
-  /// calibrate int8, encode the checkpoint. Touches no counter and writes
-  /// no file, so it can run on the trainer thread.
+  /// calibrate int8, encode the checkpoint when journaled. Touches no
+  /// counter and writes no file, so it can run on the trainer thread.
   void run_finetune(FinetuneJob& job) const;
   /// Install the session's finished fine-tune (waiting for it if it is
-  /// still running), count it, and persist it: user_<id>.ckpt, then the
-  /// kFinetune record.
+  /// still running), count it and its encoding, and persist it:
+  /// user_<id>.ckpt, then the kFinetune record.
   void commit_finetune(Session& session);
   /// Engine from checkpoint bytes (a delta-stored blob is reconstructed
   /// against its base first), its int8 activations not yet calibrated.
@@ -324,13 +308,11 @@ class Server {
       const std::string& blob, edge::Precision precision,
       const CheckpointCache::Scales* scales = nullptr);
   /// The bytes to persist for a freshly fine-tuned personal checkpoint:
-  /// the delta encoding when enabled and smaller, else the full blob.
-  /// Deterministic, so export_session() reproduces exactly what the
-  /// fine-tune's commit stored.
+  /// the delta encoding when smaller, else the full blob. Deterministic, so
+  /// export_session() reproduces exactly what the fine-tune's commit
+  /// stored.
   PersonalBlob encode_personal_blob(std::size_t cluster,
                                     const std::string& full_blob) const;
-  /// Record an encode's outcome in the serve.delta.* counters.
-  void count_encode(const PersonalBlob& blob);
   /// Append one record. Never throws: a journal failure warns, counts
   /// serve.journal.io_errors, and disables journaling — the serving path
   /// must survive a full disk.

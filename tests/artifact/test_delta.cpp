@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,10 @@ nn::CnnLstmConfig small_config() {
   return config;
 }
 
-std::unique_ptr<nn::Sequential> make_model(std::uint64_t seed) {
+std::unique_ptr<nn::Sequential> make_model(
+    std::uint64_t seed, const nn::CnnLstmConfig& config = small_config()) {
   Rng rng(seed);
-  auto model = nn::build_cnn_lstm(small_config(), rng);
+  auto model = nn::build_cnn_lstm(config, rng);
   model->freeze_below(nn::fine_tune_boundary());
   return model;
 }
@@ -56,6 +58,25 @@ void perturb_unfrozen_fp32(nn::Sequential& model, std::uint64_t seed) {
            static_cast<float>(rng.normal(0.0, 1e-7));
   }
 }
+
+/// The encoding byte of each tensor record in a delta's "delta.tensors"
+/// block (docs/FORMATS.md), in checkpoint parameter order.
+std::vector<int> encodings_of(const std::string& delta, std::size_t tensors) {
+  const artifact::Reader container(delta);
+  bytes::Reader r(container.block("delta.tensors"), "delta.tensors");
+  std::vector<int> out;
+  for (std::size_t i = 0; i < tensors; ++i) {
+    (void)r.bytes(r.u32());  // name
+    out.push_back(r.u8());
+    (void)r.u64();  // numel
+    (void)r.u64();  // payload_len
+  }
+  r.expect_end();
+  return out;
+}
+
+constexpr int kUlpDeltaEncoding = 2;
+constexpr int kGrid8Encoding = 4;
 
 /// Project every parameter through the fp16 grid (the NCS2 serving tier
 /// stores fp16-representable values in the personal checkpoint).
@@ -180,8 +201,18 @@ TEST(DeltaCodec, RoundTripsFp32FineTune) {
                            ft_blob, &stats);
   ASSERT_TRUE(delta.has_value());
   EXPECT_LT(delta->size(), ft_blob.size());
-  EXPECT_GT(stats.same, 0u) << "frozen conv tensors should encode as kSame";
   EXPECT_GT(stats.ulp, 0u) << "small fp32 steps should pick kUlpDelta";
+  // The frozen conv tensors are bitwise unchanged; each rides kUlpDelta as
+  // an all-zero residual stream.
+  const std::vector<nn::Param*> params = ft->parameters();
+  const std::vector<int> encodings = encodings_of(*delta, params.size());
+  std::size_t frozen = 0;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!params[i]->frozen) continue;
+    ++frozen;
+    EXPECT_EQ(encodings[i], kUlpDeltaEncoding) << params[i]->name;
+  }
+  EXPECT_GT(frozen, 0u);
   EXPECT_TRUE(serve::delta::is_delta(*delta));
   EXPECT_FALSE(serve::delta::is_delta(ft_blob));
 
@@ -251,6 +282,51 @@ TEST(DeltaCodec, RoundTripsEveryUnfrozenTensorShape) {
         << "param " << target << " (" << p->name << ")";
   }
   EXPECT_GT(unfrozen, 0u);
+}
+
+// A tensor on an exact int8 grid whose residuals need more symbols than the
+// rANS table holds (256) is no kGrid8 candidate: it must round-trip through
+// another encoding.
+TEST(DeltaCodec, Grid8TableOverflowTakesAnotherEncoding) {
+  nn::CnnLstmConfig config = small_config();
+  config.lstm_hidden = 32;  // lstm.wh holds 32 x 128 weights.
+  auto base = make_model(101, config);
+  auto ft = make_model(101, config);
+  auto unrelated = make_model(202, config);
+  const std::vector<nn::Param*> params = ft->parameters();
+  std::size_t target = 0;
+  while (target < params.size() && params[target]->name != "lstm.wh")
+    ++target;
+  ASSERT_LT(target, params.size());
+
+  // lstm.wh becomes an unrelated model's weights on their own int8 grid.
+  Tensor& t = params[target]->value;
+  t = unrelated->parameters()[target]->value;
+  const edge::QuantParams qp = edge::calibrate_max_abs(t.flat());
+  for (float& v : t.flat())
+    v = edge::dequantize_value(edge::quantize_value(v, qp), qp);
+  const Tensor& b = base->parameters()[target]->value;
+  std::set<int> residuals;
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    residuals.insert(int(edge::quantize_value(t[i], qp)) -
+                     int(edge::quantize_value(b[i], qp)));
+  ASSERT_GT(residuals.size(), 256u) << "the residuals must overflow the table";
+
+  const std::string base_blob = blob_of(*base);
+  const std::string ft_blob = blob_of(*ft);
+  const BaseRef ref{BaseRef::Kind::kCluster, 0};
+  EncodeStats stats;
+  const auto delta = serve::delta::encode(base_blob, ref, ft_blob, &stats);
+  ASSERT_TRUE(delta.has_value());
+  // An unchanged tensor that sits on a grid of its own (a constant bias)
+  // may still take kGrid8; the count must not grow by the target.
+  EncodeStats unchanged;
+  ASSERT_TRUE(
+      serve::delta::encode(base_blob, ref, base_blob, &unchanged).has_value());
+  EXPECT_EQ(stats.grid8, unchanged.grid8);
+  EXPECT_NE(encodings_of(*delta, params.size())[target], kGrid8Encoding)
+      << params[target]->name;
+  EXPECT_EQ(serve::delta::decode(*delta, base_blob), ft_blob);
 }
 
 // ---------------------------------------------------------------------------

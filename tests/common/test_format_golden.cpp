@@ -352,7 +352,7 @@ TEST_F(FormatGolden, DeltaArtifactsPerTier) {
       serve::delta::encode(base_blob, ref, checkpoint_of(*fp32), &stats);
   ASSERT_TRUE(d32.has_value());
   EXPECT_GT(stats.ulp, 0u);
-  expect_golden("delta fp32", *d32, 1191, 0x91b2fee2ff4ebd46ull);
+  expect_golden("delta fp32", *d32, 1234, 0xaf7d865386ec3d35ull);
 
   auto fp16 = fixed_model();
   perturb_unfrozen(*fp16);
@@ -362,7 +362,7 @@ TEST_F(FormatGolden, DeltaArtifactsPerTier) {
       serve::delta::encode(base_blob, ref, checkpoint_of(*fp16), &stats);
   ASSERT_TRUE(d16.has_value());
   EXPECT_GT(stats.half, 0u);
-  expect_golden("delta fp16", *d16, 761, 0xcb1f3de09a77a276ull);
+  expect_golden("delta fp16", *d16, 804, 0x0fe4e96f39f5e59bull);
 
   auto int8 = fixed_model();
   perturb_unfrozen(*int8);
@@ -375,7 +375,7 @@ TEST_F(FormatGolden, DeltaArtifactsPerTier) {
       serve::delta::encode(base_blob, ref, checkpoint_of(*int8), &stats);
   ASSERT_TRUE(d8.has_value());
   EXPECT_GT(stats.grid8, 0u);
-  expect_golden("delta int8", *d8, 619, 0xb2b75637a67e6e9aull);
+  expect_golden("delta int8", *d8, 613, 0x459527f28f545f2dull);
 }
 
 TEST_F(FormatGolden, ArtifactContainer) {

@@ -1,7 +1,7 @@
 // Each reader accepts exactly the version its writer emits. Files of the
 // retired first versions — a "CLEARCKP" checkpoint, a v1 pipeline.meta, a
-// "CLRWAL01" journal and a "CLRSNP01" snapshot — are refused with an error
-// that names the version found.
+// "CLRWAL01" journal, a "CLRSNP01" snapshot and a codec-v1 delta
+// checkpoint — are refused with an error that names the version found.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,11 +9,13 @@
 #include <functional>
 #include <string>
 
+#include "artifact/store.hpp"
 #include "clear/artifacts.hpp"
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/model.hpp"
+#include "serve/delta.hpp"
 #include "serve/journal.hpp"
 
 namespace clear {
@@ -95,6 +97,28 @@ TEST(FormatVersions, RefusesEveryV1FileNamingItsVersion) {
       error_of([&] { serve::read_snapshot(dir.string()); });
   EXPECT_NE(snap_error.find("format version 1"), std::string::npos)
       << snap_error;
+
+  // Delta checkpoint, codec v1: the CLRART01 container is unchanged, and
+  // delta.meta's leading u32 names the codec version.
+  bytes::Writer delta_meta;
+  delta_meta.u32(1);  // codec_version
+  delta_meta.u8(0);   // base_kind
+  delta_meta.u64(0);  // base_id
+  delta_meta.u64(0);  // base_bytes
+  delta_meta.u32(0);  // base_crc
+  delta_meta.u64(0);  // full_bytes
+  delta_meta.u32(0);  // full_crc
+  delta_meta.u64(0);  // tensor_count
+  artifact::Writer delta_v1;
+  delta_v1.add_block("delta.meta", delta_meta.take());
+  delta_v1.add_block("delta.tensors", "");
+  delta_v1.add_block("delta.values", "");
+  const std::string delta_blob = delta_v1.finish();
+  ASSERT_TRUE(serve::delta::is_delta(delta_blob));
+  const std::string delta_error = error_of(
+      [&] { serve::delta::decode(delta_blob, nn::encode_checkpoint(*model)); });
+  EXPECT_NE(delta_error.find("delta codec version 1"), std::string::npos)
+      << delta_error;
 
   fs::remove_all(dir);
 }

@@ -167,6 +167,25 @@ TEST_F(MigrationTest, ExportedSessionRestoresBitIdentically) {
   expect_bit_identical(on_losing, on_gaining);
 }
 
+// An export re-encodes the personal checkpoint for the wire but stores
+// nothing, so the delta counters, which count what a fine-tune's commit
+// persisted, must not move.
+TEST_F(MigrationTest, ExportLeavesTheDeltaCountersAlone) {
+  auto& f = fixture();
+  Server server(f.source, config_with(dir_a));
+  server.open_journal();
+  personalize(server);
+  const ServeCounters before = server.counters();
+  ASSERT_EQ(before.finetunes, 1u);
+  ASSERT_EQ(before.delta_encoded, before.finetunes);
+
+  ASSERT_TRUE(server.export_session(1).has_value());
+  const ServeCounters& after = server.counters();
+  EXPECT_EQ(after.delta_encoded, after.finetunes);
+  EXPECT_EQ(after.delta_full_fallbacks, before.delta_full_fallbacks);
+  EXPECT_EQ(after.delta_bytes_saved, before.delta_bytes_saved);
+}
+
 TEST_F(MigrationTest, ExportIsAbsentForUnknownUserAndAfterRetire) {
   auto& f = fixture();
   Server server(f.source, config_with(dir_a));

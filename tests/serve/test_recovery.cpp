@@ -223,14 +223,12 @@ TEST_F(RecoveryTest, PostRecoveryServingMatchesUninterruptedGoldenRun) {
   }
 }
 
-// Delta storage (the default) must be invisible end-to-end: the persisted
-// personal checkpoints are CLRART01 delta artifacts, and a crash + recovery
-// over them serves bit-identically to a full-checkpoint golden run.
+// Delta storage must be invisible end-to-end: the persisted personal
+// checkpoints are CLRART01 delta artifacts, and a crash + recovery over them
+// serves bit-identically to a golden run whose engines never left memory.
 TEST_F(RecoveryTest, DeltaStorageRecoversBitIdenticallyToFullStorage) {
   auto& f = fixture();
-  ServeConfig full_sc = journaled_config("");
-  full_sc.delta_checkpoints = false;
-  Server golden(f.source, full_sc);
+  Server golden(f.source, journaled_config(""));
   golden.run(phase1());
   const std::vector<ServeResult> golden_tail = golden.run(phase2());
 
@@ -252,41 +250,41 @@ TEST_F(RecoveryTest, DeltaStorageRecoversBitIdenticallyToFullStorage) {
   expect_identical(golden_tail, restored.run(phase2()));
 }
 
-// The docs/OPERATIONS.md migration runbook: a directory written with full
-// checkpoints recovers under delta config unchanged, and
-// rewrite_user_checkpoints() converts it in place — after which recovery
-// still serves bit-identically.
-TEST_F(RecoveryTest, RewriteMigratesFullCheckpointsToDeltas) {
+// The encoder stores the full blob when a delta would not be smaller, so a
+// store can hold both shapes side by side. Recovery sniffs each file: here
+// user 1's checkpoint is swapped for its full decode after a snapshot (the
+// snapshot restore reads user_<id>.ckpt by content, not by the size + CRC
+// an older kFinetune record pinned).
+TEST_F(RecoveryTest, RecoversAFullCheckpointBesideADelta) {
   auto& f = fixture();
-  ServeConfig golden_sc = journaled_config("");
-  golden_sc.delta_checkpoints = false;
-  Server golden(f.source, golden_sc);
+  Server golden(f.source, journaled_config(""));
   golden.run(phase1());
   const std::vector<ServeResult> golden_tail = golden.run(phase2());
 
-  ServeConfig legacy_sc = journaled_config(dir);
-  legacy_sc.delta_checkpoints = false;
-  crash_after_phase1(legacy_sc);
-  EXPECT_FALSE(delta::is_delta(read_user_checkpoint(dir, 1)));
-
   {
-    // Recover with delta storage on: the legacy full files load unchanged.
-    Server restored(f.source, journaled_config(dir));
-    EXPECT_TRUE(restored.recover().clean());
-    EXPECT_EQ(restored.counters().delta_loads, 0u);
-    EXPECT_EQ(restored.rewrite_user_checkpoints(), 2u);
-    EXPECT_TRUE(delta::is_delta(read_user_checkpoint(dir, 1)));
-    EXPECT_TRUE(delta::is_delta(read_user_checkpoint(dir, 2)));
-    // Idempotent: the second pass finds everything already converted.
-    EXPECT_EQ(restored.rewrite_user_checkpoints(), 0u);
-  }
+    Server server(f.source, journaled_config(dir));
+    server.open_journal();
+    server.run(phase1());
+    ASSERT_EQ(server.counters().finetunes, 2u);
+    server.snapshot_now();
+  }  // Crash.
+  const std::string stored = read_user_checkpoint(dir, 1);
+  ASSERT_TRUE(delta::is_delta(stored));
+  const delta::BaseRef ref = delta::base_of(stored);
+  ASSERT_EQ(ref.kind, delta::BaseRef::Kind::kCluster);
+  const std::string full =
+      delta::decode(stored, f.source.cluster_blob(ref.id));
+  write_user_checkpoint(dir, 1, full, false);
+  ASSERT_FALSE(delta::is_delta(read_user_checkpoint(dir, 1)));
+  ASSERT_TRUE(delta::is_delta(read_user_checkpoint(dir, 2)));
 
-  Server again(f.source, journaled_config(dir));
-  const RecoveryReport report = again.recover();
+  Server restored(f.source, journaled_config(dir));
+  const RecoveryReport report = restored.recover();
   EXPECT_TRUE(report.clean()) << report.str();
   EXPECT_EQ(report.personalized, 2u);
-  EXPECT_GE(again.counters().delta_loads, 2u);
-  expect_identical(golden_tail, again.run(phase2()));
+  EXPECT_EQ(report.personalized_expected, 2u);
+  EXPECT_EQ(restored.counters().delta_loads, 1u) << "only user 2 is a delta";
+  expect_identical(golden_tail, restored.run(phase2()));
 }
 
 TEST_F(RecoveryTest, RecoversFromSnapshotPlusJournalTail) {

@@ -225,12 +225,6 @@ const char* command_help(const std::string& command) {
        "  --journal-fsync       fsync every journal append (machine-crash\n"
        "                        durability; process-crash durability needs\n"
        "                        no fsync)\n"
-       "  --full-checkpoints    persist personal checkpoints as full blobs\n"
-       "                        instead of deltas against the cluster base\n"
-       "                        (either format always loads)\n"
-       "  --rewrite-checkpoints after --recover, re-encode every persisted\n"
-       "                        personal checkpoint in the current storage\n"
-       "                        format, then continue serving\n"
        "  In --listen mode SIGINT/SIGTERM drain gracefully: stop accepting,\n"
        "  flush pending batches, write a final snapshot, exit 0.\n"
        "  exit codes: 0 graceful shutdown, 1 runtime error, 2 usage error\n"},
@@ -724,12 +718,6 @@ int cmd_serve(const CliArgs& args) {
     std::fprintf(stderr, "--recover requires --journal-dir=DIR\n");
     return 2;
   }
-  sc.delta_checkpoints = !args.get_bool("full-checkpoints", false);
-  const bool rewrite_ckpts = args.get_bool("rewrite-checkpoints", false);
-  if (rewrite_ckpts && !recover) {
-    std::fprintf(stderr, "--rewrite-checkpoints requires --recover\n");
-    return 2;
-  }
 
   bool wants_int8 = false;
   for (const edge::Precision p : sc.precisions)
@@ -744,6 +732,18 @@ int cmd_serve(const CliArgs& args) {
     }
   }
 
+  // --journal-dir: replay it (printing the report) or start it fresh.
+  const auto start_journal = [&](serve::Server& server) {
+    if (sc.journal.directory.empty()) return;
+    if (recover) {
+      std::printf("%s", server.recover().str().c_str());
+      return;
+    }
+    server.open_journal();
+    std::printf("journaling to %s (snapshot every %zu records)\n",
+                sc.journal.directory.c_str(), sc.journal.snapshot_every);
+  };
+
   const std::string listen = args.get("listen", "");
   if (!listen.empty()) {
     // Wire mode: the epoll front end drives the server; requests arrive as
@@ -754,19 +754,7 @@ int cmd_serve(const CliArgs& args) {
         static_cast<std::size_t>(args.get_int("max-connections", 64));
     nc.port_file = args.get("port-file", "");
     serve::Server server(std::move(source), sc);
-    if (!sc.journal.directory.empty()) {
-      if (recover) {
-        const serve::RecoveryReport rr = server.recover();
-        std::printf("%s", rr.str().c_str());
-        if (rewrite_ckpts)
-          std::printf("rewrote %zu personal checkpoints\n",
-                      server.rewrite_user_checkpoints());
-      } else {
-        server.open_journal();
-        std::printf("journaling to %s (snapshot every %zu records)\n",
-                    sc.journal.directory.c_str(), sc.journal.snapshot_every);
-      }
-    }
+    start_journal(server);
     net::NetServer net_server(server, nc);
     std::printf("listening on %s:%u\n", nc.listen.host.c_str(),
                 net_server.port());
@@ -828,17 +816,7 @@ int cmd_serve(const CliArgs& args) {
   std::fflush(stdout);
 
   serve::Server server(std::move(source), sc);
-  if (!sc.journal.directory.empty()) {
-    if (recover) {
-      const serve::RecoveryReport rr = server.recover();
-      std::printf("%s", rr.str().c_str());
-      if (rewrite_ckpts)
-        std::printf("rewrote %zu personal checkpoints\n",
-                    server.rewrite_user_checkpoints());
-    } else {
-      server.open_journal();
-    }
-  }
+  start_journal(server);
   const std::vector<serve::ServeResult> results =
       server.run(std::move(requests));
 
